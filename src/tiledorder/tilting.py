@@ -12,6 +12,8 @@ sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -19,9 +21,14 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidLatticeError,
     PositiveParameterError,
+    TooLargeError,
 )
 from .gorenstein import GorensteinData, cyclic_order
 from .orders import ExponentMatrix, Vector, freeze_vector
+
+# Largest poset hasse_quiver accepts.  Its bitsets take k * k / 8 bytes, about
+# 50 MB at this size.
+HASSE_LIMIT = 20_000
 
 
 def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
@@ -31,10 +38,7 @@ def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
         raise DimensionMismatchError(
             f"vector has length {len(vec)}, expected {m.n}"
         )
-    return all(
-        vec[j] <= min(vec[i] + m.entry(i, j) for i in range(m.n))
-        for j in range(m.n)
-    )
+    return all(x <= min(map(add, vec, col)) for x, col in zip(vec, m.transpose()))
 
 
 def truncate_shift(v: Sequence[int], j: int) -> Vector:
@@ -94,11 +98,6 @@ def tilting_summands(
     return [(tuple(found[vec]), vec) for vec in order]
 
 
-def leq(v: Vector, w: Vector) -> bool:
-    """Componentwise order on exponent vectors."""
-    return all(a <= b for a, b in zip(v, w))
-
-
 @dataclass(frozen=True, eq=True)
 class TiltingPoset:
     """The tilting summand vectors under the componentwise order."""
@@ -121,8 +120,7 @@ def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
     elements = tuple(sorted(vec for _, vec in summands))
     labels = {vec: labs for labs, vec in summands}
     poset = TiltingPoset(elements=elements, labels=labels)
-    zero = poset.zero
-    assert all(leq(zero, v) for v in elements)  # zero is the unique minimum
+    assert min(map(min, elements)) >= 0  # zero is the unique minimum
     assert len(elements) == 1 - sum(g.p)
     return poset
 
@@ -141,30 +139,44 @@ class Quiver:
 
 
 def hasse_quiver(poset: TiltingPoset) -> Quiver:
-    """Cover arrows of the poset, drawn from larger to smaller element."""
+    """Cover arrows of the poset, drawn from larger to smaller element.
+
+    below[i] is the bitset of the elements u <= els[i], i itself included: the
+    AND over coordinates c of {u : u_c <= els[i]_c}, where one sort per
+    coordinate gives every such prefix set.  The elements are sorted
+    lexicographically, and the lexicographic order extends the componentwise
+    one, so the highest bit j of below[i] minus i is maximal below els[i]:
+    i -> j is a cover.  Clearing below[j] and repeating finds every cover of i
+    and nothing else, a transitive reduction (Aho, Garey and Ullman, 1972).
+    That is O(k * n + arrows) big-int operations on k-bit integers and k * k / 8
+    bytes of bitsets; posets above HASSE_LIMIT elements raise TooLargeError.
+    """
     els = poset.elements
     k = len(els)
-    below = [0] * k  # bit j set when els[j] < els[i]
-    for i in range(k):
-        for j in range(k):
-            if i != j and leq(els[j], els[i]):
-                below[i] |= 1 << j
-    above = [0] * k
-    for i in range(k):
-        mask = below[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            above[j] |= 1 << i
+    if k > HASSE_LIMIT:
+        raise TooLargeError(
+            f"poset has {k} elements, exceeds Hasse limit {HASSE_LIMIT}", witness=k
+        )
+    below = [-1] * k
+    for column in zip(*els):
+        mask = 0
+        by_value = sorted(range(k), key=column.__getitem__)
+        for _, group in groupby(by_value, key=column.__getitem__):
+            group = list(group)
+            for j in group:
+                mask |= 1 << j
+            for j in group:
+                below[j] &= mask
     arrows = []
-    for i in range(k):
-        mask = below[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if not below[i] & above[j]:  # nothing strictly between
-                arrows.append((els[i], els[j]))
-    return Quiver(vertices=els, arrows=tuple(sorted(arrows)))
+    for i, v in enumerate(els):
+        covers = []
+        cand = below[i] ^ (1 << i)
+        while cand:
+            j = cand.bit_length() - 1
+            covers.append((v, els[j]))
+            cand &= ~below[j]
+        arrows.extend(reversed(covers))  # ascending (i, j) is the sorted order
+    return Quiver(vertices=els, arrows=tuple(arrows))
 
 
 def grothendieck_rank(g: GorensteinData) -> int:

@@ -153,6 +153,17 @@ class TestQuiver:
         assert code == 1
         assert stderr_json(err)["code"] == "NotCyclic"
 
+    def test_too_large(self, tmp_path, capsys):
+        # weights (10001, 10001) give p = (-10000, -10000): k = 20001 elements
+        path = tmp_path / "big.json"
+        path.write_text('{"kind": "cyclic", "weights": [10001, 10001]}')
+        code, out, err = run(capsys, "quiver", str(path))
+        assert code == 1
+        assert out == ""
+        payload = stderr_json(err)
+        assert payload["code"] == "TooLarge"
+        assert payload["witness"] == 20001
+
 
 class TestNormalize:
     def test_already_normal(self, unit_cyclic_file, capsys):

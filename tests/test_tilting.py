@@ -1,12 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from tiledorder import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidLatticeError,
     NotCyclicError,
     PositiveParameterError,
     Quiver,
+    TiltingPoset,
+    TooLargeError,
     cyclic_hasse_oracle,
     cyclic_order,
     detect_gorenstein,
@@ -21,7 +26,9 @@ from tiledorder import (
     tilting_summands,
     truncate_shift,
 )
+from tiledorder.tilting import HASSE_LIMIT
 
+from hasse_oracle import pairwise_hasse_quiver
 from test_orders import weights_strategy
 
 M4, G4 = cyclic_order((1, 1, 1, 1))
@@ -53,6 +60,23 @@ class TestLatticeVectors:
     def test_violating_vector(self):
         m2, _ = cyclic_order((1, 1))
         assert not is_lattice_vector(m2, (0, 2))
+
+    def test_matches_definition(self):
+        # v(j) <= min_i (v(i) + m(i, j)), written out entry by entry
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            m, _ = cyclic_order(tuple(rng.randint(0, 3) for _ in range(n - 1)) + (1,))
+            m = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
+            v = tuple(rng.randint(-3, 4) for _ in range(n))
+            literal = all(
+                v[j] <= min(v[i] + m.entry(i, j) for i in range(n)) for j in range(n)
+            )
+            assert is_lattice_vector(m, v) == literal
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            is_lattice_vector(M4, (0, 0, 0))
 
     def test_truncate_shift(self):
         assert truncate_shift((3, 0, 1, 2), 1) == (2, 0, 0, 1)
@@ -187,6 +211,47 @@ class TestHasse:
         extra = set(oracle.arrows) - set(hasse.arrows)
         assert extra == {((1, 1, 0), (0, 0, 0))}
         assert set(hasse.arrows) <= set(oracle.arrows)
+
+    def test_matches_pairwise_oracle_zero_weights(self):
+        # cyclic_hasse_oracle does not describe covers once a weight is zero,
+        # so the direct pairwise computation is the reference here
+        rng = random.Random(7)
+        checked = 0
+        while checked < 150:
+            w = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 6)))
+            if 0 not in w or not any(w):
+                continue
+            m, g = cyclic_order(w)
+            if any(x > 0 for x in g.p):
+                continue
+            poset = tilting_poset(m, g)
+            assert hasse_quiver(poset) == pairwise_hasse_quiver(poset), w
+            checked += 1
+
+    def test_matches_pairwise_oracle_morita_shifted(self):
+        rng = random.Random(8)
+        checked = 0
+        while checked < 100:
+            n = rng.randint(2, 6)
+            w = tuple(rng.randint(0, 3) for _ in range(n))
+            if not any(w):
+                continue
+            m, _ = cyclic_order(w)
+            shifted = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
+            g = detect_gorenstein(shifted)
+            if not shifted.is_n_graded or any(x > 0 for x in g.p):
+                continue
+            poset = tilting_poset(shifted, g)
+            assert hasse_quiver(poset) == pairwise_hasse_quiver(poset), (w, shifted)
+            checked += 1
+
+    def test_size_limit(self):
+        poset = TiltingPoset(
+            elements=tuple((x,) for x in range(HASSE_LIMIT + 1)), labels={}
+        )
+        with pytest.raises(TooLargeError) as ei:
+            hasse_quiver(poset)
+        assert ei.value.witness == HASSE_LIMIT + 1
 
     def test_quiver_validates_endpoints(self):
         with pytest.raises(AssertionError):
