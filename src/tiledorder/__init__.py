@@ -1,5 +1,7 @@
 """Exact-integer computations with graded Gorenstein tiled orders."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousNakayamaError,
     DimensionMismatchError,
@@ -19,8 +21,8 @@ from .errors import (
     NotGorensteinError,
     NotIntegralSumError,
     NotMinCycleError,
+    NotNGradedError,
     OrbitAverageMismatchError,
-    PeriodicityViolationError,
     PositiveParameterError,
     TooLargeError,
     TriangleViolationError,
@@ -51,12 +53,9 @@ from .conjugation import (
     floor_profile,
     fold_orbits,
     is_cycle_nonneg,
-    is_cycle_nonneg_bruteforce,
     is_floor_aligned,
-    min_cycle,
     nonneg_conjugate,
     normalize_equivariant,
-    normalized_cycle_conjugate,
     order_equivariant_data,
 )
 from .tilting import (
@@ -76,69 +75,9 @@ from .tilting import (
 
 __version__ = "0.1.0"
 
+# Everything imported above, without the submodules themselves.
 __all__ = [
-    "AmbiguousNakayamaError",
-    "DimensionMismatchError",
-    "DomainError",
-    "EquivarianceViolationError",
-    "IndexOutOfRangeError",
-    "InputFileError",
-    "InvalidLatticeError",
-    "NegativeCycleError",
-    "NegativeDiagonalError",
-    "NonConstantOrbitAverageError",
-    "NonSquareError",
-    "NonzeroDiagonalError",
-    "NotBijectiveError",
-    "NotCyclicError",
-    "NotFloorTypeError",
-    "NotGorensteinError",
-    "NotIntegralSumError",
-    "NotMinCycleError",
-    "OrbitAverageMismatchError",
-    "PeriodicityViolationError",
-    "PositiveParameterError",
-    "TooLargeError",
-    "TriangleViolationError",
-    "ZeroWeightsError",
-    "ExponentMatrix",
-    "OrderReport",
-    "Permutation",
-    "morita_shift",
-    "validate_order",
-    "GorensteinData",
-    "cyclic_order",
-    "detect_gorenstein",
-    "shifted_parameters",
-    "EquivariantData",
-    "OrbitFold",
-    "conjugate_data",
-    "conjugate_matrix",
-    "cycle_sum",
-    "equivariant_data",
-    "find_negative_cycle",
-    "floor_align",
-    "floor_profile",
-    "fold_orbits",
-    "is_cycle_nonneg",
-    "is_cycle_nonneg_bruteforce",
-    "is_floor_aligned",
-    "min_cycle",
-    "nonneg_conjugate",
-    "normalize_equivariant",
-    "normalized_cycle_conjugate",
-    "order_equivariant_data",
-    "Quiver",
-    "TiltingPoset",
-    "cyclic_hasse_oracle",
-    "endo_block_dim",
-    "grothendieck_rank",
-    "hasse_quiver",
-    "hom_dim",
-    "is_lattice_vector",
-    "tilde_index_sets",
-    "tilting_poset",
-    "tilting_summands",
-    "truncate_shift",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

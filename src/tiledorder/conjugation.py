@@ -11,9 +11,8 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations as iter_permutations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,17 +23,10 @@ from .errors import (
     NegativeDiagonalError,
     NotFloorTypeError,
     NotIntegralSumError,
-    NotMinCycleError,
     OrbitAverageMismatchError,
-    PeriodicityViolationError,
-    TooLargeError,
 )
 from .gorenstein import GorensteinData
 from .orders import ExponentMatrix, Permutation, Rows, Vector, check_shift, freeze_rows
-
-BRUTEFORCE_LIMIT = 8
-MIN_CYCLE_LIMIT = 10
-
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     rows = freeze_rows(matrix)
@@ -57,23 +49,6 @@ def cycle_sum(matrix: Sequence[Sequence[int]], seq: Sequence[int]) -> int:
     return sum(rows[idx[k]][idx[(k + 1) % len(idx)]] for k in range(len(idx)))
 
 
-def is_cycle_nonneg_bruteforce(matrix: Sequence[Sequence[int]]) -> bool:
-    """Exhaustive oracle: every permutation trace sum(m(i, sigma(i))) is >= 0.
-
-    For zero-diagonal matrices this is equivalent to all directed cycle sums
-    being non-negative (permutations decompose into disjoint cycles and fixed
-    points contribute nothing).  Factorial cost; rejected above n = 8.
-    """
-    rows = _square(matrix)
-    n = len(rows)
-    if n > BRUTEFORCE_LIMIT:
-        raise TooLargeError(f"n={n} exceeds brute-force limit {BRUTEFORCE_LIMIT}")
-    return all(
-        sum(rows[i][sigma[i]] for i in range(n)) >= 0
-        for sigma in iter_permutations(range(n))
-    )
-
-
 def _extract_negative_cycle(rows: Rows) -> tuple[int, ...]:
     """A simple negative cycle, found by DP over exact walk lengths.
 
@@ -83,9 +58,13 @@ def _extract_negative_cycle(rows: Rows) -> tuple[int, ...]:
     them negative).  Smallest (k, i) and smallest predecessor at every
     backward step keep the witness deterministic.  Only called once a
     negative cycle is known to exist.
+
+    "No walk" is the int 2n(M + 1) + 1, M the largest |entry|: walks of at
+    most n edges weigh at most nM in absolute value, so sums built on it stay
+    above nM and never win a minimum, match a real walk or go negative.
     """
     n = len(rows)
-    inf = float("inf")
+    inf = 2 * n * (max(abs(x) for row in rows for x in row) + 1) + 1
     walks = [None, [[rows[i][j] if i != j else inf for j in range(n)] for i in range(n)]]
     hit = None
     for k in range(1, n + 1):
@@ -170,32 +149,6 @@ def is_cycle_nonneg(matrix: Sequence[Sequence[int]]) -> bool:
     return find_negative_cycle(matrix) is None
 
 
-def min_cycle(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Minimum cycle sum over multiplicity-free cycles of length >= 2.
-
-    Ties are broken by shortest length, then lexicographically on the cycle
-    written from its smallest index.  Exhaustive; rejected above n = 10.
-    """
-    rows = _square(matrix)
-    n = len(rows)
-    if n > MIN_CYCLE_LIMIT:
-        raise TooLargeError(f"n={n} exceeds min-cycle limit {MIN_CYCLE_LIMIT}")
-    if n < 2:
-        raise TooLargeError("min_cycle needs at least two indices")
-    best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    for k in range(2, n + 1):
-        for subset in combinations(range(n), k):
-            first = subset[0]
-            for rest in iter_permutations(subset[1:]):
-                seq = (first,) + rest
-                value = sum(rows[seq[t]][seq[(t + 1) % k]] for t in range(k))
-                key = (value, k, seq)
-                if best is None or key < best:
-                    best = key
-    value, _, seq = best
-    return seq, value
-
-
 def conjugate_matrix(matrix: Sequence[Sequence[int]], s: Sequence[int]) -> Rows:
     rows = _square(matrix)
     shift = check_shift(s, len(rows))
@@ -211,17 +164,18 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
     s is the vector of shortest-path potentials from a virtual source with
     zero-weight edges to every vertex, so the result is deterministic.  Raises
     NegativeDiagonalError(i) when some m(i,i) < 0 (no conjugate can fix the
-    diagonal) and NegativeCycleError with a witness cycle when the cycle test
+    diagonal; the cycle search reports these, and only these, as singleton
+    cycles) and NegativeCycleError with a witness cycle when the cycle test
     fails.
     """
     rows = _square(matrix)
     n = len(rows)
-    for i in range(n):
-        if rows[i][i] < 0:
-            raise NegativeDiagonalError(
-                f"diagonal entry ({i},{i}) is negative", witness=i
-            )
     dist, cycle = _bellman_ford(rows)
+    if cycle is not None and len(cycle) == 1:
+        i = cycle[0]
+        raise NegativeDiagonalError(
+            f"diagonal entry ({i},{i}) is negative", witness=i
+        )
     if cycle is not None:
         raise NegativeCycleError(
             f"negative cycle {cycle} with sum {cycle_sum(rows, cycle)}",
@@ -232,51 +186,6 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
         rows[i][j] + s[i] - s[j] >= 0 for i in range(n) for j in range(n)
     )
     return s
-
-
-def normalized_cycle_conjugate(
-    matrix: Sequence[Sequence[int]], cycle: Sequence[int]
-) -> Vector:
-    """Shift that zeroes a minimum cycle except for its closing edge.
-
-    Given a multiplicity-free cycle attaining the minimum cycle sum of the
-    restriction of m to its support, returns s (zero off the cycle) with
-    (sm)(c_k, c_{k+1}) = 0 for k < last, (sm)(c_last, c_0) equal to that
-    minimum, and (sm) non-negative on the cycle's support.  Raises
-    NotMinCycleError when the given cycle fails any of this.
-    """
-    rows = _square(matrix)
-    n = len(rows)
-    idx = tuple(cycle)
-    if len(idx) < 2 or len(set(idx)) != len(idx):
-        raise NotMinCycleError(
-            "cycle must be multiplicity-free with length >= 2", witness=idx
-        )
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} out of range for n={n}", witness=i)
-
-    s = [0] * n
-    run = 0
-    for k in range(1, len(idx)):
-        run += rows[idx[k - 1]][idx[k]]
-        s[idx[k]] = run
-
-    sub = tuple(tuple(rows[a][b] for b in idx) for a in idx)
-    _, sub_min = min_cycle(sub)
-    conj = conjugate_matrix(rows, s)
-    closing = conj[idx[-1]][idx[0]]
-    ok = (
-        closing == sub_min
-        and all(conj[idx[k]][idx[k + 1]] == 0 for k in range(len(idx) - 1))
-        and all(conj[a][b] >= 0 for a in idx for b in idx)
-    )
-    if not ok:
-        raise NotMinCycleError(
-            "cycle does not attain the minimum cycle sum of its restriction",
-            witness=idx,
-        )
-    return tuple(s)
 
 
 def floor_profile(r: int, g: int, n: int) -> Vector:
@@ -300,7 +209,8 @@ class EquivariantData:
     The twist vector controls how the matrix changes along the permutation:
     matrix(perm(i), perm(j)) = matrix(i,j) - twist(i) + twist(j).  Every orbit
     of the permutation has the same average twist (twist_avg, exact rational).
-    Construct through equivariant_data(), which checks both conditions.
+    Construct through equivariant_data(), which checks both conditions;
+    conjugate_data derives new data that provably keeps them.
     """
 
     matrix: Rows
@@ -349,24 +259,24 @@ def equivariant_data(
                 f"orbit 0 has {averages[0]}",
                 witness=(0, x),
             )
-    avg = averages[0]
-    # g | orbit length: orbit sums are integers and num/den is reduced.
-    assert all(len(orbit) % avg.denominator == 0 for orbit in orbits)
     return EquivariantData(
-        matrix=rows, twist=tw, perm=perm, twist_avg=avg, orbits=orbits
+        matrix=rows, twist=tw, perm=perm, twist_avg=averages[0], orbits=orbits
     )
 
 
 def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
-    """Conjugate matrix and twist by s; equivariance and average are preserved."""
+    """Conjugate matrix and twist by s: m(i,j) + s(i) - s(j), a(i) + s(i) - s(perm i).
+
+    No re-check is needed: in the equivariance relation the s terms cancel,
+    and s(i) - s(perm i) sums to zero over each orbit, so twist_avg and the
+    orbits are unchanged.
+    """
     shift = check_shift(s, ed.n)
-    new_matrix = conjugate_matrix(ed.matrix, shift)
-    new_twist = tuple(
-        ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n)
+    return replace(
+        ed,
+        matrix=conjugate_matrix(ed.matrix, shift),
+        twist=tuple(ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n)),
     )
-    out = equivariant_data(new_matrix, new_twist, ed.perm)
-    assert out.twist_avg == ed.twist_avg
-    return out
 
 
 def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantData:
@@ -436,19 +346,17 @@ class OrbitFold:
 
 
 def fold_orbits(ed: EquivariantData) -> OrbitFold:
-    """Fold floor-aligned data over perm powers and minimize over orbit blocks."""
+    """Fold floor-aligned data over perm powers and minimize over orbit blocks.
+
+    Floor alignment makes the matrix invariant under perm^g: g steps of the
+    equivariance relation change m(i,j) by A(j) - A(i), A(i) the sum of g
+    consecutive twists along the orbit of i.  A floor profile has period g
+    and any g consecutive terms sum to r, so A is constant.
+    """
     if not is_floor_aligned(ed):
         raise NotFloorTypeError("twist is not a rotation of its floor profile")
     n = ed.n
     g = ed.period
-    power_g = ed.perm.power_images(g)
-    for i in range(n):
-        for j in range(n):
-            if ed.matrix[power_g[i]][power_g[j]] != ed.matrix[i][j]:
-                raise PeriodicityViolationError(
-                    f"matrix not invariant under perm^{g} at ({i},{j})",
-                    witness=(i, j),
-                )
     powers = [ed.perm.power_images(k) for k in range(g)]
     summed = tuple(
         tuple(

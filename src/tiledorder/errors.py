@@ -98,10 +98,6 @@ class NotFloorTypeError(DomainError):
     code = "NotFloorType"
 
 
-class PeriodicityViolationError(DomainError):
-    code = "PeriodicityViolation"
-
-
 class DimensionMismatchError(DomainError):
     code = "DimensionMismatch"
 
@@ -112,6 +108,10 @@ class InvalidLatticeError(DomainError):
 
 class PositiveParameterError(DomainError):
     code = "PositiveParameter"
+
+
+class NotNGradedError(DomainError):
+    code = "NotNGraded"
 
 
 class NotCyclicError(DomainError):

@@ -163,11 +163,10 @@ def vector_label(vec: Vector) -> str:
 
 def quiver_dot(q: Quiver) -> str:
     """Deterministic DOT text: vertices then arrows, in their sorted order."""
+    label = {v: vector_label(v) for v in q.vertices}
     lines = ["digraph hasse {"]
-    lines.extend(f'  "{vector_label(v)}";' for v in q.vertices)
-    lines.extend(
-        f'  "{vector_label(a)}" -> "{vector_label(b)}";' for a, b in q.arrows
-    )
+    lines.extend(f'  "{label[v]}";' for v in q.vertices)
+    lines.extend(f'  "{label[a]}" -> "{label[b]}";' for a, b in q.arrows)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -33,18 +33,6 @@ def freeze_rows(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(freeze_vector(row) for row in rows)
 
 
-def check_square(rows: Rows) -> int:
-    n = len(rows)
-    if n == 0:
-        raise NonSquareError("matrix must be non-empty and square")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise NonSquareError(
-                f"row {i} has length {len(row)}, expected {n}", witness=i
-            )
-    return n
-
-
 def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically."""
     n = len(rows)
@@ -54,6 +42,39 @@ def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
                 if rows[i][j] + rows[j][k] < rows[i][k]:
                     return (i, j, k)
     return None
+
+
+def _scan(
+    rows: Iterable[Sequence[int]],
+) -> tuple[Rows, Optional[tuple[int, int, int]]]:
+    """The one structural scan: frozen rows and the first triangle violation.
+
+    Raises NonSquareError / NonzeroDiagonalError on structural defects.
+    """
+    frozen = freeze_rows(rows)
+    n = len(frozen)
+    if n == 0:
+        raise NonSquareError("matrix must be non-empty and square")
+    for i, row in enumerate(frozen):
+        if len(row) != n:
+            raise NonSquareError(
+                f"row {i} has length {len(row)}, expected {n}", witness=i
+            )
+    for i in range(n):
+        if frozen[i][i] != 0:
+            raise NonzeroDiagonalError(
+                f"diagonal entry ({i},{i}) is {frozen[i][i]}, expected 0", witness=i
+            )
+    return frozen, first_triangle_violation(frozen)
+
+
+def _is_basic(rows: Rows) -> bool:
+    n = len(rows)
+    return all(rows[i][j] + rows[j][i] > 0 for i in range(n) for j in range(i + 1, n))
+
+
+def _is_n_graded(rows: Rows) -> bool:
+    return all(x >= 0 for row in rows for x in row)
 
 
 @dataclass(frozen=True)
@@ -77,52 +98,35 @@ def validate_order(rows: Iterable[Sequence[int]]) -> OrderReport:
     triangle inequality, basicness (m(i,j) + m(j,i) > 0 off the diagonal) and
     N-gradedness (all entries >= 0) are reported, not raised.
     """
-    frozen = freeze_rows(rows)
-    n = check_square(frozen)
-    for i in range(n):
-        if frozen[i][i] != 0:
-            raise NonzeroDiagonalError(
-                f"diagonal entry ({i},{i}) is {frozen[i][i]}, expected 0", witness=i
-            )
-    violation = first_triangle_violation(frozen)
-    basic = all(
-        frozen[i][j] + frozen[j][i] > 0
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    n_graded = all(x >= 0 for row in frozen for x in row)
+    frozen, violation = _scan(rows)
     return OrderReport(
         triangle_ok=violation is None,
-        basic=basic,
-        n_graded=n_graded,
+        basic=_is_basic(frozen),
+        n_graded=_is_n_graded(frozen),
         first_violation=violation,
     )
 
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """A validated exponent matrix: square, zero diagonal, triangle inequality."""
+    """An exponent matrix: square, zero diagonal, triangle inequality.
+
+    ``from_rows`` is the validating constructor.  The plain one checks nothing
+    and is used only where the docstring proves the result valid
+    (``morita_shift``, ``cyclic_order``).
+    """
 
     rows: Rows
 
-    def __post_init__(self):
-        n = check_square(self.rows)
-        for i in range(n):
-            if self.rows[i][i] != 0:
-                raise NonzeroDiagonalError(
-                    f"diagonal entry ({i},{i}) is {self.rows[i][i]}, expected 0",
-                    witness=i,
-                )
-        violation = first_triangle_violation(self.rows)
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
+        frozen, violation = _scan(rows)
         if violation is not None:
             i, j, k = violation
             raise TriangleViolationError(
                 f"m({i},{j}) + m({j},{k}) < m({i},{k})", witness=violation
             )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
-        return cls(freeze_rows(rows))
+        return cls(frozen)
 
     @property
     def n(self) -> int:
@@ -139,16 +143,11 @@ class ExponentMatrix:
 
     @property
     def is_basic(self) -> bool:
-        n = self.n
-        return all(
-            self.rows[i][j] + self.rows[j][i] > 0
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return _is_basic(self.rows)
 
     @property
     def is_n_graded(self) -> bool:
-        return all(x >= 0 for row in self.rows for x in row)
+        return _is_n_graded(self.rows)
 
 
 @dataclass(frozen=True)
@@ -181,12 +180,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def power_images(self, k: int) -> Vector:
         """Images of the k-th power (k >= 0)."""
         out = list(range(self.n))
@@ -210,10 +203,6 @@ class Permutation:
             result.append(tuple(orbit))
         return tuple(result)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images))
-
 
 def check_shift(s: Sequence[int], n: int) -> Vector:
     shift = freeze_vector(s)
@@ -227,16 +216,15 @@ def check_shift(s: Sequence[int], n: int) -> Vector:
 def morita_shift(m: ExponentMatrix, s: Sequence[int]) -> ExponentMatrix:
     """Conjugate the exponent matrix: m'(i,j) = m(i,j) + s(i) - s(j).
 
-    The zero diagonal, the triangle inequality, basicness and every cycle sum
-    are preserved; N-gradedness may change and should be re-checked by callers
-    that rely on it.
+    No re-validation is needed: the shifts cancel on the diagonal and in every
+    cycle sum, so m'(i,i) = 0, each triangle defect m(i,j) + m(j,k) - m(i,k)
+    and each m(i,j) + m(j,i) is unchanged.  N-gradedness may change and should
+    be re-checked by callers that rely on it.
     """
     shift = check_shift(s, m.n)
-    shifted = ExponentMatrix(
+    return ExponentMatrix(
         tuple(
-            tuple(m.entry(i, j) + shift[i] - shift[j] for j in range(m.n))
-            for i in range(m.n)
+            tuple(x + si - sj for x, sj in zip(row, shift))
+            for row, si in zip(m.rows, shift)
         )
     )
-    assert shifted.is_basic == m.is_basic
-    return shifted

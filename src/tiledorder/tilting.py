@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidLatticeError,
+    NotNGradedError,
     PositiveParameterError,
     TooLargeError,
 )
@@ -75,9 +76,18 @@ def tilting_summands(
     Enumerates truncate_shift(row nu(i), j) for 1 <= j <= -p_i + 1 in label
     order; j = -p_i + 1 is the first truncation that collapses to zero, so the
     zero vector appears once, carrying one label per index.  Nonzero vectors
-    are pairwise distinct (asserted) and each carries a single label.
+    are pairwise distinct (asserted) and each carries a single label.  Requires
+    all p_i <= 0 and an N-graded m (NotNGradedError with the first negative
+    entry in row-major order otherwise).
     """
     _check_nonpositive(g)
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise NotNGradedError(
+                    f"entry m({i},{j}) = {x} < 0; the order is not N-graded",
+                    witness=(i, j),
+                )
     n = m.n
     found: dict[Vector, list[tuple[int, int]]] = {}
     order: list[Vector] = []
@@ -104,14 +114,6 @@ class TiltingPoset:
 
     elements: tuple[Vector, ...]  # sorted lexicographically, zero first
     labels: Mapping[Vector, tuple[tuple[int, int], ...]]
-
-    @property
-    def n(self) -> int:
-        return len(self.elements[0])
-
-    @property
-    def zero(self) -> Vector:
-        return (0,) * self.n
 
 
 def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:

@@ -1,0 +1,112 @@
+"""Exhaustive cycle computations, kept as independent test oracles.
+
+They enumerate permutations or cycles outright, so their cost is factorial
+and each rejects inputs above a small size.  The package's own cycle test is
+`tiledorder.find_negative_cycle` (Bellman-Ford); the tests compare it, and
+the normalization it drives, against these definitions.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations, permutations as iter_permutations
+from typing import Optional, Sequence
+
+from tiledorder import (
+    IndexOutOfRangeError,
+    NotMinCycleError,
+    TooLargeError,
+    conjugate_matrix,
+)
+from tiledorder.conjugation import _square
+from tiledorder.orders import Vector
+
+BRUTEFORCE_LIMIT = 8
+MIN_CYCLE_LIMIT = 10
+
+
+def is_cycle_nonneg_bruteforce(matrix: Sequence[Sequence[int]]) -> bool:
+    """Exhaustive oracle: every permutation trace sum(m(i, sigma(i))) is >= 0.
+
+    For zero-diagonal matrices this is equivalent to all directed cycle sums
+    being non-negative (permutations decompose into disjoint cycles and fixed
+    points contribute nothing).  Factorial cost; rejected above n = 8.
+    """
+    rows = _square(matrix)
+    n = len(rows)
+    if n > BRUTEFORCE_LIMIT:
+        raise TooLargeError(f"n={n} exceeds brute-force limit {BRUTEFORCE_LIMIT}")
+    return all(
+        sum(rows[i][sigma[i]] for i in range(n)) >= 0
+        for sigma in iter_permutations(range(n))
+    )
+
+
+def min_cycle(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Minimum cycle sum over multiplicity-free cycles of length >= 2.
+
+    Ties are broken by shortest length, then lexicographically on the cycle
+    written from its smallest index.  Exhaustive; rejected above n = 10.
+    """
+    rows = _square(matrix)
+    n = len(rows)
+    if n > MIN_CYCLE_LIMIT:
+        raise TooLargeError(f"n={n} exceeds min-cycle limit {MIN_CYCLE_LIMIT}")
+    if n < 2:
+        raise TooLargeError("min_cycle needs at least two indices")
+    best: Optional[tuple[int, int, tuple[int, ...]]] = None
+    for k in range(2, n + 1):
+        for subset in combinations(range(n), k):
+            first = subset[0]
+            for rest in iter_permutations(subset[1:]):
+                seq = (first,) + rest
+                value = sum(rows[seq[t]][seq[(t + 1) % k]] for t in range(k))
+                key = (value, k, seq)
+                if best is None or key < best:
+                    best = key
+    value, _, seq = best
+    return seq, value
+
+
+def normalized_cycle_conjugate(
+    matrix: Sequence[Sequence[int]], cycle: Sequence[int]
+) -> Vector:
+    """Shift that zeroes a minimum cycle except for its closing edge.
+
+    Given a multiplicity-free cycle attaining the minimum cycle sum of the
+    restriction of m to its support, returns s (zero off the cycle) with
+    (sm)(c_k, c_{k+1}) = 0 for k < last, (sm)(c_last, c_0) equal to that
+    minimum, and (sm) non-negative on the cycle's support.  Raises
+    NotMinCycleError when the given cycle fails any of this.
+    """
+    rows = _square(matrix)
+    n = len(rows)
+    idx = tuple(cycle)
+    if len(idx) < 2 or len(set(idx)) != len(idx):
+        raise NotMinCycleError(
+            "cycle must be multiplicity-free with length >= 2", witness=idx
+        )
+    for i in idx:
+        if not 0 <= i < n:
+            raise IndexOutOfRangeError(f"index {i} out of range for n={n}", witness=i)
+
+    s = [0] * n
+    run = 0
+    for k in range(1, len(idx)):
+        run += rows[idx[k - 1]][idx[k]]
+        s[idx[k]] = run
+
+    sub = tuple(tuple(rows[a][b] for b in idx) for a in idx)
+    _, sub_min = min_cycle(sub)
+    conj = conjugate_matrix(rows, s)
+    closing = conj[idx[-1]][idx[0]]
+    ok = (
+        closing == sub_min
+        and all(conj[idx[k]][idx[k + 1]] == 0 for k in range(len(idx) - 1))
+        and all(conj[a][b] >= 0 for a in idx for b in idx)
+    )
+    if not ok:
+        raise NotMinCycleError(
+            "cycle does not attain the minimum cycle sum of its restriction",
+            witness=idx,
+        )
+    return tuple(s)

@@ -23,8 +23,6 @@ from tiledorder import (
     grothendieck_rank,
     hasse_quiver,
     hom_dim,
-    is_cycle_nonneg_bruteforce,
-    min_cycle,
     morita_shift,
     nonneg_conjugate,
     normalize_equivariant,
@@ -35,6 +33,7 @@ from tiledorder import (
     tilting_summands,
 )
 
+from cycle_oracles import is_cycle_nonneg_bruteforce, min_cycle
 from equivariant_templates import (
     SYMBOLS,
     two_orbit_block_min,

@@ -17,6 +17,17 @@ def stderr_json(err):
     return json.loads(err.strip().splitlines()[-1])
 
 
+def only_stderr_json(err):
+    """The one JSON object that is all of stderr."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+# a Morita shift of cyclic weights (3, 3, 0) with m(2,0) = -2 < 0
+NOT_GRADED = '{"kind": "matrix", "m": [[0, 5, 8], [1, 0, 3], [-2, 3, 0]]}'
+
+
 @pytest.fixture
 def unit_cyclic_file(tmp_path, capsys):
     path = tmp_path / "w.json"
@@ -126,6 +137,16 @@ class TestTilting:
         assert code == 1
         assert stderr_json(err)["code"] == "PositiveParameter"
 
+    def test_not_n_graded(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(NOT_GRADED)
+        code, out, err = run(capsys, "tilting", str(path))
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
+        assert payload["code"] == "NotNGraded"
+        assert payload["witness"] == [2, 0]
+
 
 class TestQuiver:
     def test_counts_and_dot(self, unit_cyclic_file, tmp_path, capsys):
@@ -152,6 +173,16 @@ class TestQuiver:
         code, _, err = run(capsys, "quiver", str(path), "--oracle")
         assert code == 1
         assert stderr_json(err)["code"] == "NotCyclic"
+
+    def test_not_n_graded(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(NOT_GRADED)
+        code, out, err = run(capsys, "quiver", str(path))
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
+        assert payload["code"] == "NotNGraded"
+        assert payload["witness"] == [2, 0]
 
     def test_too_large(self, tmp_path, capsys):
         # weights (10001, 10001) give p = (-10000, -10000): k = 20001 elements
@@ -199,6 +230,43 @@ class TestNormalize:
         assert code == 0
         assert "n_graded: true" in out2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "cyclic", "weights": [2, 0, 0, 0]}',
+            '{"kind": "cyclic", "weights": [3, 1, 0, 2, 0, 0]}',
+            NOT_GRADED,
+            # cyclic weights (1, 2, 0, 3), shifted and relabeled: nu = (2, 3, 1, 0)
+            '{"kind": "matrix", "m": [[0, 2, -3, 0], [4, 0, 1, -2], '
+            '[9, 5, 0, 3], [6, 8, 3, 0]]}',
+        ],
+    )
+    def test_output_redetects(self, tmp_path, capsys, text):
+        # cmd_normalize prints p' from the closed form without re-running
+        # detect_gorenstein; the emitted order must re-detect with that p',
+        # be N-graded and keep every parameter within 1 of the average
+        from fractions import Fraction
+
+        from tiledorder import detect_gorenstein
+        from tiledorder.files import order_matrix, read_order_file
+
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        out_path = tmp_path / "out.json"
+        code, out, _ = run(
+            capsys, "normalize", str(path), "--emit", str(out_path)
+        )
+        assert code == 0
+        fields = dict(
+            line.split(": ", 1) for line in out.splitlines() if ": " in line
+        )
+        printed_p = tuple(json.loads(fields["p'"]))
+        p_av = Fraction(fields["p_av"])
+        shifted = order_matrix(read_order_file(out_path))
+        assert shifted.is_n_graded
+        assert detect_gorenstein(shifted).p == printed_p
+        assert all(abs(x - p_av) < 1 for x in printed_p)
+
 
 class TestMdata:
     def test_check_and_normalize(self, tmp_path, capsys):
@@ -229,6 +297,18 @@ class TestMdata:
         code, _, err = run(capsys, "mdata-normalize", str(path))
         assert code == 1
         payload = stderr_json(err)
+        assert payload["code"] == "NegativeCycle"
+        assert payload["witness"] == [0, 1]
+
+    def test_huge_entries_negative_cycle(self, tmp_path, capsys):
+        big = 10**400
+        path = tmp_path / "md.json"
+        rows = [[0, -1, big], [-1, 0, big], [big, big, 0]]
+        path.write_text(json.dumps({"m": rows, "a": [0, 0, 0], "nu": [0, 1, 2]}))
+        code, out, err = run(capsys, "mdata-normalize", str(path))
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
         assert payload["code"] == "NegativeCycle"
         assert payload["witness"] == [0, 1]
 

@@ -24,15 +24,17 @@ from tiledorder import (
     floor_profile,
     fold_orbits,
     is_cycle_nonneg,
-    is_cycle_nonneg_bruteforce,
     is_floor_aligned,
-    min_cycle,
     nonneg_conjugate,
     normalize_equivariant,
-    normalized_cycle_conjugate,
     order_equivariant_data,
 )
 
+from cycle_oracles import (
+    is_cycle_nonneg_bruteforce,
+    min_cycle,
+    normalized_cycle_conjugate,
+)
 from test_orders import CYCLIC_1111, shifted_cyclic
 
 
@@ -96,6 +98,15 @@ class TestFindNegativeCycle:
 
     def test_negative_diagonal_witness(self):
         assert find_negative_cycle([(0, 9), (9, -1)]) == (1,)
+
+    def test_huge_entries(self):
+        # entries far past float range: the witness search stays in ints
+        big = 10**400
+        rows = [(0, -1, big), (-1, 0, big), (big, big, 0)]
+        assert find_negative_cycle(rows) == (0, 1)
+        # every 2-cycle sums to >= 0; only the 3-cycle is negative
+        rows = [(0, -big, big), (big, 0, -big), (1, big, 0)]
+        assert find_negative_cycle(rows) == (0, 1, 2)
 
     def test_witness_contract(self):
         rng = random.Random(99)
@@ -168,6 +179,11 @@ class TestNonnegConjugate:
     def test_negative_diagonal_reported(self):
         with pytest.raises(NegativeDiagonalError) as ei:
             nonneg_conjugate([(0, 5), (5, -2)])
+        assert ei.value.witness == 1
+        # with a negative 2-cycle (0, 1) as well, the first negative diagonal
+        # index is still the witness
+        with pytest.raises(NegativeDiagonalError) as ei:
+            nonneg_conjugate([(0, -5, 0), (-5, -1, 0), (0, 0, -2)])
         assert ei.value.witness == 1
 
     def test_random_instances(self):
@@ -299,9 +315,22 @@ class TestEquivariantData:
         moved = conjugate_data(ed, s)
         assert moved.twist_avg == ed.twist_avg
         assert moved.perm == ed.perm
+        # conjugate_data does not re-validate; the validating constructor
+        # accepts its output and derives the same average and orbits
+        assert equivariant_data(moved.matrix, moved.twist, ed.perm) == moved
         back = conjugate_data(moved, tuple(-x for x in s))
         assert back.twist == ed.twist
         assert back.matrix == ed.matrix
+
+
+    def test_conjugation_preserves_validity_two_orbits(self):
+        from equivariant_templates import SYMBOLS, two_orbit_data
+
+        rng = random.Random(17)
+        for _ in range(50):
+            ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
+            moved = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
+            assert equivariant_data(moved.matrix, moved.twist, ed.perm) == moved
 
 
 class TestFloorAlign:
@@ -356,6 +385,14 @@ class TestFloorAlign:
             assert tuple(aligned.twist[i] for i in orbit) == expected
 
 
+def assert_periodic(ed):
+    """The matrix is invariant under perm^g, g = ed.period."""
+    power = ed.perm.power_images(ed.period)
+    for i in range(ed.n):
+        for j in range(ed.n):
+            assert ed.matrix[power[i]][power[j]] == ed.matrix[i][j]
+
+
 class TestFoldOrbits:
     def test_full_cycle_period_one(self):
         m, g = cyclic_order((1, 1, 1, 1))
@@ -371,6 +408,28 @@ class TestFoldOrbits:
         ed = order_equivariant_data(m, g)  # twist (-1,1,1,1): not a profile
         with pytest.raises(NotFloorTypeError):
             fold_orbits(ed)
+
+    @given(
+        shifted_cyclic(max_n=6),
+        st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+    )
+    def test_aligned_data_is_periodic(self, m, raw):
+        # fold_orbits relies on this without checking it: floor-aligned data
+        # is invariant under perm^g
+        from tiledorder import detect_gorenstein
+
+        s = tuple(raw[: m.n])
+        ed = conjugate_data(order_equivariant_data(m, detect_gorenstein(m)), s)
+        assert_periodic(conjugate_data(ed, floor_align(ed)))
+
+    def test_aligned_two_orbit_data_is_periodic(self):
+        from equivariant_templates import SYMBOLS, two_orbit_data
+
+        rng = random.Random(18)
+        for _ in range(50):
+            ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
+            ed = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
+            assert_periodic(conjugate_data(ed, floor_align(ed)))
 
     def test_two_block_example(self):
         m, g = cyclic_order((2, 0, 0, 0))

@@ -17,6 +17,19 @@ from tiledorder import (
 from test_orders import CYCLIC_1111, shifted_cyclic
 
 
+@st.composite
+def relabeled_shifted_cyclic(draw):
+    """A shifted cyclic order with its indices relabeled: m'(i,j) = m(o(i), o(j)).
+
+    Its Nakayama permutation is the conjugated cycle, not i -> i+1.
+    """
+    m = draw(shifted_cyclic())
+    o = draw(st.permutations(range(m.n)))
+    return ExponentMatrix.from_rows(
+        [[m.entry(o[i], o[j]) for j in range(m.n)] for i in range(m.n)]
+    )
+
+
 class TestDetect:
     def test_cyclic_unit_weights(self):
         m = ExponentMatrix.from_rows(CYCLIC_1111)
@@ -64,6 +77,18 @@ class TestDetect:
         g = detect_gorenstein(m)
         assert g.nu.images == Permutation.cycle(m.n).images
         assert g.p_av == Fraction(sum(g.p), m.n)
+
+
+    @given(relabeled_shifted_cyclic())
+    def test_defining_relation_consequences(self, m):
+        # detect_gorenstein does not re-check these; they follow from the
+        # defining relation m(nu(i), j) + m(j, i) = ell_i
+        g = detect_gorenstein(m)
+        n = m.n
+        assert all(g.ell[i] == m.entry(g.nu(i), i) for i in range(n))
+        for i in range(n):
+            for j in range(n):
+                assert m.entry(g.nu(i), g.nu(j)) == m.entry(i, j) + g.p[j] - g.p[i]
 
 
 class TestShiftedParameters:

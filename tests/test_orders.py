@@ -43,6 +43,25 @@ def shifted_cyclic(draw, max_n=6, max_w=4, max_s=4):
     return morita_shift(m, tuple(s))
 
 
+@st.composite
+def metric_orders(draw, max_n=6, max_w=3):
+    """Shortest-path distances of random non-negative arc weights.
+
+    Every such matrix has zero diagonal and the triangle inequality; zero
+    weights make many of them non-basic.
+    """
+    n = draw(st.integers(1, max_n))
+    d = [
+        [0 if i == j else draw(st.integers(0, max_w)) for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return ExponentMatrix.from_rows(d)
+
+
 class TestValidateOrder:
     def test_zero_matrix(self):
         rep = validate_order([[0, 0], [0, 0]])
@@ -99,6 +118,23 @@ class TestExponentMatrix:
         with pytest.raises(TriangleViolationError):
             ExponentMatrix.from_rows([[0, 1], [-2, 0]])
 
+    @pytest.mark.parametrize(
+        "rows, error, witness",
+        [
+            ([], NonSquareError, None),
+            ([[0, 1]], NonSquareError, 0),
+            ([[0, 1], [1]], NonSquareError, 1),
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 2]], NonzeroDiagonalError, 2),
+            ([[0, 0], [0, -1]], NonzeroDiagonalError, 1),
+            ([[0, 1], [-2, 0]], TriangleViolationError, (0, 1, 0)),
+            ([[0, 0, 5], [0, 0, 0], [0, 5, 0]], TriangleViolationError, (0, 1, 2)),
+        ],
+    )
+    def test_from_rows_witnesses(self, rows, error, witness):
+        with pytest.raises(error) as ei:
+            ExponentMatrix.from_rows(rows)
+        assert ei.value.witness == witness
+
     def test_not_n_graded_is_still_constructible(self):
         m = ExponentMatrix.from_rows([[0, -1], [2, 0]])
         assert not m.is_n_graded
@@ -113,8 +149,9 @@ class TestPermutation:
         assert c(3) == 0
 
     def test_inverse(self):
+        # the inverse of an n-cycle is its (n-1)-th power
         c = Permutation.cycle(5)
-        assert c.inverse()(c(2)) == 2
+        assert c.power_images(4)[c(2)] == 2
 
     def test_power_images(self):
         c = Permutation.cycle(4)
@@ -170,6 +207,7 @@ class TestCyclicOrder:
         m, g = cyclic_order(tuple(w))
         rep = validate_order(m.rows)
         assert rep.fully_valid
+        assert ExponentMatrix.from_rows(m.rows) == m
         assert g.nu.images == Permutation.cycle(m.n).images
 
 
@@ -206,6 +244,17 @@ class TestMoritaShift:
         rep = validate_order(m.rows)
         assert rep.triangle_ok
         assert rep.basic
+
+    @given(
+        st.one_of(shifted_cyclic(), metric_orders()),
+        st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    )
+    def test_result_is_a_valid_order(self, m, raw):
+        # morita_shift builds without checks; the validating constructor
+        # must accept what it builds, and basicness must not move
+        shifted = morita_shift(m, tuple(raw[: m.n]))
+        assert ExponentMatrix.from_rows(shifted.rows) == shifted
+        assert shifted.is_basic == m.is_basic
 
     @given(shifted_cyclic(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
     def test_involution(self, m, raw):

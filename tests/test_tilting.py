@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from tiledorder import (
     DimensionMismatchError,
+    ExponentMatrix,
     IndexOutOfRangeError,
     InvalidLatticeError,
     NotCyclicError,
+    NotNGradedError,
     PositiveParameterError,
     Quiver,
     TiltingPoset,
@@ -29,7 +31,7 @@ from tiledorder import (
 from tiledorder.tilting import HASSE_LIMIT
 
 from hasse_oracle import pairwise_hasse_quiver
-from test_orders import weights_strategy
+from test_orders import shifted_cyclic, weights_strategy
 
 M4, G4 = cyclic_order((1, 1, 1, 1))
 
@@ -119,6 +121,33 @@ class TestSummands:
         with pytest.raises(PositiveParameterError) as ei:
             tilting_summands(m, g)
         assert ei.value.witness == 3
+
+    def test_not_n_graded_rejected(self):
+        # a Morita shift of cyclic weights (3, 3, 0): Gorenstein with
+        # p = (0, -2, -7), but m(2,0) = -2 < 0
+        m = ExponentMatrix.from_rows([[0, 5, 8], [1, 0, 3], [-2, 3, 0]])
+        g = detect_gorenstein(m)
+        assert g.p == (0, -2, -7)
+        with pytest.raises(NotNGradedError) as ei:
+            tilting_summands(m, g)
+        assert ei.value.witness == (2, 0)
+        with pytest.raises(NotNGradedError):
+            tilting_poset(m, g)
+
+    @given(shifted_cyclic())
+    def test_shifted_orders_need_n_grading(self, m):
+        g = detect_gorenstein(m)
+        if any(x > 0 for x in g.p):
+            return
+        if m.is_n_graded:
+            assert len(tilting_summands(m, g)) == 1 - sum(g.p)
+            return
+        with pytest.raises(NotNGradedError) as ei:
+            tilting_summands(m, g)
+        first = next(
+            (i, j) for i in range(m.n) for j in range(m.n) if m.entry(i, j) < 0
+        )
+        assert ei.value.witness == first
 
     @given(weights_strategy())
     def test_counts(self, w):
