@@ -12,7 +12,6 @@ from .errors import (
     InvalidLatticeError,
     NegativeCycleError,
     NegativeDiagonalError,
-    NonConstantOrbitAverageError,
     NonSquareError,
     NonzeroDiagonalError,
     NotBijectiveError,
@@ -20,9 +19,7 @@ from .errors import (
     NotFloorTypeError,
     NotGorensteinError,
     NotIntegralSumError,
-    NotMinCycleError,
     NotNGradedError,
-    OrbitAverageMismatchError,
     PositiveParameterError,
     TooLargeError,
     TriangleViolationError,

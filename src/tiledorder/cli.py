@@ -121,8 +121,7 @@ def cmd_quiver(args) -> int:
     print(f"vertices: {len(quiver.vertices)}")
     print(f"arrows: {len(quiver.arrows)}")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(files.quiver_dot(quiver))
+        files.write_text(args.dot, files.quiver_dot(quiver))
         print(f"emitted: {args.dot}")
     if args.oracle:
         if source.kind != "cyclic":

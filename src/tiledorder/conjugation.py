@@ -23,7 +23,6 @@ from .errors import (
     NegativeDiagonalError,
     NotFloorTypeError,
     NotIntegralSumError,
-    OrbitAverageMismatchError,
 )
 from .gorenstein import GorensteinData
 from .orders import ExponentMatrix, Permutation, Rows, Vector, check_shift, freeze_rows
@@ -49,99 +48,59 @@ def cycle_sum(matrix: Sequence[Sequence[int]], seq: Sequence[int]) -> int:
     return sum(rows[idx[k]][idx[(k + 1) % len(idx)]] for k in range(len(idx)))
 
 
-def _extract_negative_cycle(rows: Rows) -> tuple[int, ...]:
-    """A simple negative cycle, found by DP over exact walk lengths.
-
-    W_k(i,j) = minimum weight of a walk i -> j with exactly k edges.  The
-    smallest k with W_k(i,i) < 0 yields a closed walk that must be simple
-    (a repeated vertex would split it into two shorter closed walks, one of
-    them negative).  Smallest (k, i) and smallest predecessor at every
-    backward step keep the witness deterministic.  Only called once a
-    negative cycle is known to exist.
-
-    "No walk" is the int 2n(M + 1) + 1, M the largest |entry|: walks of at
-    most n edges weigh at most nM in absolute value, so sums built on it stay
-    above nM and never win a minimum, match a real walk or go negative.
-    """
-    n = len(rows)
-    inf = 2 * n * (max(abs(x) for row in rows for x in row) + 1) + 1
-    walks = [None, [[rows[i][j] if i != j else inf for j in range(n)] for i in range(n)]]
-    hit = None
-    for k in range(1, n + 1):
-        if k > 1:
-            prev = walks[k - 1]
-            walks.append(
-                [
-                    [
-                        min(
-                            (prev[i][t] + rows[t][j] for t in range(n) if t != j),
-                            default=inf,
-                        )
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
-        for i in range(n):
-            if walks[k][i][i] < 0:
-                hit = (k, i)
-                break
-        if hit:
-            break
-    assert hit is not None
-    k, i = hit
-    verts = [i]  # v_k = i; fill v_{k-1}, ..., v_1 walking backwards
-    j = i
-    for step in range(k, 1, -1):
-        for t in range(n):
-            if t != j and walks[step - 1][i][t] + rows[t][j] == walks[step][i][j]:
-                verts.append(t)
-                j = t
-                break
-    verts.reverse()  # (v_1, ..., v_k = i); cycle starts at i
-    cycle = tuple([i] + verts[:-1])
-    assert len(set(cycle)) == len(cycle)
-    start = cycle.index(min(cycle))
-    cycle = cycle[start:] + cycle[:start]
-    assert cycle_sum(rows, cycle) < 0
-    return cycle
-
-
 def _bellman_ford(rows: Rows) -> tuple[list[int], Optional[tuple[int, ...]]]:
     """Shortest-path potentials from a virtual zero-weight source.
 
     Returns (dist, None) when no negative cycle exists, in which case
     m(i,j) + dist(i) - dist(j) >= 0 for all i != j.  Otherwise returns
-    (_, cycle) with a witness cycle of negative sum, rotated so its smallest
-    index comes first.  Negative diagonal entries are reported as singleton
-    cycles before any relaxation.
+    (_, cycle), a deterministic simple cycle of negative sum in forward
+    order, smallest index first; a negative diagonal entry is reported as a
+    singleton before any relaxation.
+
+    Relaxing j through i sets pred[j] = i, after which dist(j) >= dist(i) +
+    m(i,j), as dist(i) only decreases; the relaxation closing a cycle of
+    pred is strict, so every such cycle is negative (Cherkassky and Goldberg,
+    Math. Programming 85, 1999).  Without a negative cycle n - 1 passes
+    settle dist.  Let x be relaxed in pass n + 1: had its pred chain ended at
+    an unrelaxed vertex after a simple path P, dist(x) >= m(P), though
+    dist(x) <= m(P) held before that relaxation.  So n steps back from x lie
+    on a cycle of pred.
     """
     n = len(rows)
     for i in range(n):
         if rows[i][i] < 0:
             return [], (i,)
     dist = [0] * n
+    pred = [-1] * n
     for _ in range(n + 1):
-        changed = False
+        last = -1
         for i in range(n):
             di = dist[i]
             row = rows[i]
             for j in range(n):
                 if i != j and di + row[j] < dist[j]:
                     dist[j] = di + row[j]
-                    changed = True
-        if not changed:
+                    pred[j] = i
+                    last = j
+        if last < 0:
             return dist, None
-    return [], _extract_negative_cycle(rows)
+    for _ in range(n):
+        last = pred[last]
+    cycle = [last]
+    v = pred[last]
+    while v != last:
+        cycle.append(v)
+        v = pred[v]
+    cycle.reverse()
+    start = cycle.index(min(cycle))
+    return [], tuple(cycle[start:] + cycle[:start])
 
 
 def find_negative_cycle(
     matrix: Sequence[Sequence[int]],
 ) -> Optional[tuple[int, ...]]:
     """A directed cycle with negative sum, or None.  Singletons cover the diagonal."""
-    rows = _square(matrix)
-    _, cycle = _bellman_ford(rows)
-    return cycle
+    return _bellman_ford(_square(matrix))[1]
 
 
 def is_cycle_nonneg(matrix: Sequence[Sequence[int]]) -> bool:
@@ -167,9 +126,11 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
     diagonal; the cycle search reports these, and only these, as singleton
     cycles) and NegativeCycleError with a witness cycle when the cycle test
     fails.
+
+    s needs no check: the last Bellman-Ford pass relaxed nothing, so dist(j)
+    <= dist(i) + m(i,j) for i != j, and the diagonal is non-negative.
     """
     rows = _square(matrix)
-    n = len(rows)
     dist, cycle = _bellman_ford(rows)
     if cycle is not None and len(cycle) == 1:
         i = cycle[0]
@@ -181,11 +142,7 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
             f"negative cycle {cycle} with sum {cycle_sum(rows, cycle)}",
             witness=cycle,
         )
-    s = tuple(dist)
-    assert all(
-        rows[i][j] + s[i] - s[j] >= 0 for i in range(n) for j in range(n)
-    )
-    return s
+    return tuple(dist)
 
 
 def floor_profile(r: int, g: int, n: int) -> Vector:
@@ -210,7 +167,8 @@ class EquivariantData:
     matrix(perm(i), perm(j)) = matrix(i,j) - twist(i) + twist(j).  Every orbit
     of the permutation has the same average twist (twist_avg, exact rational).
     Construct through equivariant_data(), which checks both conditions;
-    conjugate_data derives new data that provably keeps them.
+    order_equivariant_data and conjugate_data derive data that provably
+    keeps them.
     """
 
     matrix: Rows
@@ -234,7 +192,11 @@ def equivariant_data(
     twist: Sequence[int],
     perm: Permutation,
 ) -> EquivariantData:
-    """Validate and package (matrix, twist, perm) as equivariant data."""
+    """Validate and package (matrix, twist, perm) as equivariant data.
+
+    Equal orbit averages follow: L steps of the relation, L the order of
+    perm, give (L / |x|) * sum_x(twist) = (L / |y|) * sum_y(twist).
+    """
     rows = _square(matrix)
     n = len(rows)
     tw = check_shift(twist, n)
@@ -251,16 +213,9 @@ def equivariant_data(
                     witness=(i, j),
                 )
     orbits = perm.orbits()
-    averages = [Fraction(sum(tw[i] for i in orbit), len(orbit)) for orbit in orbits]
-    for x in range(1, len(averages)):
-        if averages[x] != averages[0]:
-            raise OrbitAverageMismatchError(
-                f"orbit {x} has twist average {averages[x]}, "
-                f"orbit 0 has {averages[0]}",
-                witness=(0, x),
-            )
+    avg = Fraction(sum(tw[i] for i in orbits[0]), len(orbits[0]))
     return EquivariantData(
-        matrix=rows, twist=tw, perm=perm, twist_avg=averages[0], orbits=orbits
+        matrix=rows, twist=tw, perm=perm, twist_avg=avg, orbits=orbits
     )
 
 
@@ -285,10 +240,16 @@ def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantD
     The equivariance relation holds for the transposed exponent matrix (entry
     (i,j) records degrees of maps from projective j into projective i) with
     twist = -p; conjugating here by s matches morita_shift(m, -s) on the order
-    side.
+    side.  Requires g = detect_gorenstein(m) or cyclic_order's pair, and then
+    checks nothing: m(nu i, nu j) = m(i,j) + p_j - p_i transposes to the
+    relation for twist -p, and every nu-orbit has parameter average p_av.
     """
-    return equivariant_data(
-        m.transpose(), tuple(-x for x in g.p), g.nu
+    return EquivariantData(
+        matrix=m.transpose(),
+        twist=tuple(-x for x in g.p),
+        perm=g.nu,
+        twist_avg=-g.p_av,
+        orbits=g.nu.orbits(),
     )
 
 
@@ -351,7 +312,9 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
     Floor alignment makes the matrix invariant under perm^g: g steps of the
     equivariance relation change m(i,j) by A(j) - A(i), A(i) the sum of g
     consecutive twists along the orbit of i.  A floor profile has period g
-    and any g consecutive terms sum to r, so A is constant.
+    and any g consecutive terms sum to r, so A is constant.  So summed is
+    invariant under (i,j) -> (perm i, perm j), which trades its term m(i,j)
+    for the equal m(perm^g i, perm^g j).
     """
     if not is_floor_aligned(ed):
         raise NotFloorTypeError("twist is not a rotation of its floor profile")
@@ -364,12 +327,6 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
             for j in range(n)
         )
         for i in range(n)
-    )
-    # summed is invariant under (i,j) -> (perm(i), perm(j)) by construction.
-    assert all(
-        summed[ed.perm(i)][ed.perm(j)] == summed[i][j]
-        for i in range(n)
-        for j in range(n)
     )
     orbit_of = [0] * n
     for x, orbit in enumerate(ed.orbits):
@@ -390,13 +347,19 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
 def normalize_equivariant(ed: EquivariantData) -> Vector:
     """Total shift conjugating the data into normalized position.
 
-    After conjugation the twist is floor-aligned (each orbit a rotation of its
-    floor profile, hence within 1 of the average) and the matrix is entrywise
-    non-negative.  Pipeline: floor-align, fold orbits, find a non-negative
-    conjugate of the folded block minima, and lift that shift back through the
-    floor identification.  Requires every cycle sum of the matrix to be
+    Pipeline: floor-align, fold orbits, find a non-negative conjugate sbar of
+    the folded block minima, and lift it back through the floor
+    identification.  Requires every cycle sum of the matrix to be
     non-negative (NegativeCycleError with a witness on the original indices
     otherwise; a negative diagonal entry appears as a singleton cycle).
+
+    The output needs no check: with r/g = twist_avg (reduced) and a(i) =
+    pos * r - sbar(x) for i at position pos of orbit x, its twist at i is
+    floor((a(i) + r)/g) - floor(a(i)/g), a rotation of the floor profile as
+    r is prime to g: floor-aligned and within 1 of r/g.  As sum_{k<g}
+    floor((a + k * r)/g) = a + (r - 1)(g - 1)/2, its fold is fold.summed(i,j)
+    + sbar(x) - sbar(y) >= 0, and g * m'(i,j) is that plus (a(i) mod g) -
+    (a(j) mod g) > -g, so the matrix m' is entrywise non-negative.
     """
     witness = find_negative_cycle(ed.matrix)
     if witness is not None:
@@ -413,9 +376,4 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     for x, orbit in enumerate(ed.orbits):
         for pos, i in enumerate(orbit):
             s2[i] = (pos * r) // g - (pos * r - sbar[x]) // g
-    total = tuple(s1[i] + s2[i] for i in range(ed.n))
-    out = conjugate_data(ed, total)
-    assert is_floor_aligned(out)
-    assert all(abs(Fraction(t) - out.twist_avg) < 1 for t in out.twist)
-    assert all(x >= 0 for row in out.matrix for x in row)
-    return total
+    return tuple(s1[i] + s2[i] for i in range(ed.n))

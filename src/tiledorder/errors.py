@@ -58,10 +58,6 @@ class NotBijectiveError(DomainError):
     code = "NotBijective"
 
 
-class NonConstantOrbitAverageError(DomainError):
-    code = "NonConstantOrbitAverage"
-
-
 class IndexOutOfRangeError(DomainError):
     code = "IndexOutOfRange"
 
@@ -78,20 +74,12 @@ class NegativeDiagonalError(DomainError):
     code = "NegativeDiagonal"
 
 
-class NotMinCycleError(DomainError):
-    code = "NotMinCycle"
-
-
 class NotIntegralSumError(DomainError):
     code = "NotIntegralSum"
 
 
 class EquivarianceViolationError(DomainError):
     code = "EquivarianceViolation"
-
-
-class OrbitAverageMismatchError(DomainError):
-    code = "OrbitAverageMismatch"
 
 
 class NotFloorTypeError(DomainError):

@@ -116,8 +116,16 @@ def order_file_text(source: OrderSource) -> str:
     return f'{{\n  "kind": "matrix",\n  "m":\n{open_}\n{body}\n{close}\n}}\n'
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path; an unwritable path raises InputFileError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc}") from exc
+
+
 def write_order_file(path, source: OrderSource) -> None:
-    Path(path).write_text(order_file_text(source))
+    write_text(path, order_file_text(source))
 
 
 def read_equivariant_file(path) -> EquivariantData:
@@ -151,7 +159,7 @@ def equivariant_file_text(ed: EquivariantData) -> str:
 
 
 def write_equivariant_file(path, ed: EquivariantData) -> None:
-    Path(path).write_text(equivariant_file_text(ed))
+    write_text(path, equivariant_file_text(ed))
 
 
 def vector_label(vec: Vector) -> str:

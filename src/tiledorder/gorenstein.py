@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .errors import (
     AmbiguousNakayamaError,
-    NonConstantOrbitAverageError,
     NotGorensteinError,
     ZeroWeightsError,
 )
@@ -43,12 +42,15 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     """Find the unique (nu, ell) certifying the Gorenstein condition.
 
     Raises NotGorensteinError(i) when no candidate row works for index i, and
-    AmbiguousNakayamaError(i) when several do (which cannot happen for basic
-    input, but is checked defensively).
+    AmbiguousNakayamaError(i) when several do.  A detected order is basic:
+    rows u, u' with m(u,u') + m(u',u) = 0 differ by a constant (triangle
+    inequality), so both or neither fit each column, and nu is onto.
 
     The relation forces the rest: j = i gives ell_i = m(nu(i), i), and the
     relation for i at nu(j) and for j at i give m(nu i, nu j) = ell_i -
-    m(nu j, i) = m(i,j) + p_j - p_i.
+    m(nu j, i) = m(i,j) + p_j - p_i.  Applying that L times, L the order of
+    nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
+    so every orbit has parameter average p_av.
     """
     n = m.n
     images = []
@@ -74,17 +76,7 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     nu = Permutation(tuple(images))  # raises NotBijectiveError if degenerate
     ell = tuple(ells)
     p = tuple(1 - e for e in ell)
-    p_av = Fraction(sum(p), n)
-
-    for orbit in nu.orbits():
-        avg = Fraction(sum(p[i] for i in orbit), len(orbit))
-        if avg != p_av:
-            raise NonConstantOrbitAverageError(
-                "parameter average differs between orbits "
-                "(input represents a decomposable ring)",
-                witness=list(orbit),
-            )
-    return GorensteinData(nu=nu, ell=ell, p=p, p_av=p_av)
+    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
 
 
 def shifted_parameters(g: GorensteinData, s: Sequence[int]) -> Vector:

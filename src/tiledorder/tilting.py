@@ -68,6 +68,16 @@ def _check_nonpositive(g: GorensteinData) -> None:
             )
 
 
+def _check_n_graded(m: ExponentMatrix) -> None:
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x < 0:
+                raise NotNGradedError(
+                    f"entry m({i},{j}) = {x} < 0; the order is not N-graded",
+                    witness=(i, j),
+                )
+
+
 def tilting_summands(
     m: ExponentMatrix, g: GorensteinData
 ) -> list[tuple[tuple[tuple[int, int], ...], Vector]]:
@@ -76,35 +86,30 @@ def tilting_summands(
     Enumerates truncate_shift(row nu(i), j) for 1 <= j <= -p_i + 1 in label
     order; j = -p_i + 1 is the first truncation that collapses to zero, so the
     zero vector appears once, carrying one label per index.  Nonzero vectors
-    are pairwise distinct (asserted) and each carries a single label.  Requires
-    all p_i <= 0 and an N-graded m (NotNGradedError with the first negative
-    entry in row-major order otherwise).
+    are pairwise distinct lattice vectors, one label each: 1 - sum(p) in
+    all.  Requires all p_i <= 0, g = detect_gorenstein(m) or cyclic_order's
+    pair, and an N-graded m (NotNGradedError with the first negative entry
+    in row-major order otherwise).  Why none of this needs a check:
+    - m(nu(s), j) = ell_s - m(j, s) <= ell_s = 1 - p_s, equal at j = s.
+    - (s, j) != (t, k) give different vectors: coordinate s differs if
+      s = t; else equal coordinates s and t give m(s,t) + m(t,s) = 0, but a
+      detected order is basic (see detect_gorenstein).
+    - Rows of m, their shifts and (m being N-graded) zero are lattice
+      vectors, and so is the componentwise max of two lattice vectors.
     """
     _check_nonpositive(g)
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if x < 0:
-                raise NotNGradedError(
-                    f"entry m({i},{j}) = {x} < 0; the order is not N-graded",
-                    witness=(i, j),
-                )
+    _check_n_graded(m)
     n = m.n
     found: dict[Vector, list[tuple[int, int]]] = {}
     order: list[Vector] = []
-    zero = (0,) * n
     for s in range(n):
         row = m.row(g.nu(s))
         for j in range(1, -g.p[s] + 2):
             vec = truncate_shift(row, j)
-            if j == -g.p[s] + 1:
-                assert vec == zero  # row maximum is m(nu(s), s) = 1 - p_s
             if vec not in found:
                 found[vec] = []
                 order.append(vec)
             found[vec].append((s, j))
-    nonzero = [vec for vec in order if vec != zero]
-    assert len(nonzero) == sum(-pi for pi in g.p)  # distinctness of nonzero summands
-    assert all(is_lattice_vector(m, vec) for vec in order)
     return [(tuple(found[vec]), vec) for vec in order]
 
 
@@ -117,27 +122,24 @@ class TiltingPoset:
 
 
 def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
-    """Build the finite tilting poset; requires all p_i <= 0."""
+    """The poset of tilting_summands' 1 - sum(p) vectors >= 0, least element 0."""
     summands = tilting_summands(m, g)
     elements = tuple(sorted(vec for _, vec in summands))
     labels = {vec: labs for labs, vec in summands}
-    poset = TiltingPoset(elements=elements, labels=labels)
-    assert min(map(min, elements)) >= 0  # zero is the unique minimum
-    assert len(elements) == 1 - sum(g.p)
-    return poset
+    return TiltingPoset(elements=elements, labels=labels)
 
 
 @dataclass(frozen=True)
 class Quiver:
-    """A finite quiver with sorted vertex and arrow tuples and no repeated arrows."""
+    """A finite quiver: sorted vertices, sorted distinct arrows, else ValueError."""
 
     vertices: tuple
     arrows: tuple
 
     def __post_init__(self):
-        assert len(set(self.arrows)) == len(self.arrows)
-        vertex_set = set(self.vertices)
-        assert all(a in vertex_set and b in vertex_set for a, b in self.arrows)
+        ends = {v for arrow in self.arrows for v in arrow}
+        if len(set(self.arrows)) < len(self.arrows) or ends - set(self.vertices):
+            raise ValueError("arrows must be distinct pairs of vertices")
 
 
 def hasse_quiver(poset: TiltingPoset) -> Quiver:
@@ -208,10 +210,15 @@ def endo_block_dim(
 
     For slots (s,i) and (t,j) of proper truncations the dimension is
     [j - i >= m(nu(t), nu(s))]; maps out of a zero slot into a proper one
-    vanish; maps into a zero slot are one-dimensional.  Cross-checked against
-    hom_dim of the truncated vectors.
+    vanish; maps into a zero slot are one-dimensional.  Raises as
+    tilting_summands does.  With g = detect_gorenstein(m) this is
+    hom_dim(m, v, w, 0) = [w <= v] for the truncations v, w of rows nu(s),
+    nu(t) at i, j (zero exactly at zero slots): if j - i >= m(nu t, nu s),
+    w <= v by the triangle inequality; if w <= v, coordinate t gives
+    ell_t - j <= m(nu s, t) - i, and ell_t - m(nu s, t) = m(nu t, nu s).
     """
     _check_nonpositive(g)
+    _check_n_graded(m)
     proper, zero_slots = tilde_index_sets(g)
     for slot in (source, target):
         if slot not in proper and slot not in zero_slots:
@@ -221,40 +228,30 @@ def endo_block_dim(
     s, i = source
     t, j = target
     if target in zero_slots:
-        dim = 1
-    elif source in zero_slots:
-        dim = 0
-    else:
-        dim = 1 if j - i >= m.entry(g.nu(t), g.nu(s)) else 0
-    assert dim == hom_dim(
-        m,
-        truncate_shift(m.row(g.nu(s)), i),
-        truncate_shift(m.row(g.nu(t)), j),
-        0,
-    )
-    return dim
+        return 1
+    if source in zero_slots:
+        return 0
+    return 1 if j - i >= m.entry(g.nu(t), g.nu(s)) else 0
 
 
 ORACLE_ZERO: tuple = ()
 
 
 def _oracle_structure(
-    weights: Sequence[int],
+    weights: Sequence[int], p: Vector
 ) -> tuple[list[tuple], dict[str, list[tuple]]]:
     """Vertices and rule-tagged arrows of the cyclic Hasse description.
 
     Vertices are (row, j) pairs plus the empty tuple for the zero vertex.  The
-    line at row rho holds -p[(rho-1) mod n] vertices.  Arrows:
+    line at row rho holds -p[(rho-1) mod n] vertices, p <= 0 the parameters
+    of cyclic_order(weights).  Arrows:
       (a) (rho, j) -> (rho, j+1) when the target exists;
       (b) (rho, j) -> ((rho-1) mod n, j + w[(rho-1) mod n]) for
           1 <= j <= -p[(rho-2) mod n] - w[(rho-1) mod n];
       (c) the last vertex of each line points to zero.
     """
-    _, g = cyclic_order(weights)
     w = tuple(weights)
     n = len(w)
-    p = g.p
-    _check_nonpositive(g)
     vertices: list[tuple] = [ORACLE_ZERO]
     for rho in range(n):
         line_len = -p[(rho - 1) % n]
@@ -278,10 +275,12 @@ def cyclic_hasse_oracle(weights: Sequence[int]) -> Quiver:
 
     Independent of the cover computation: vertices and arrows come from the
     line description above and are only then translated to exponent vectors
-    via truncate_shift.
+    via truncate_shift.  Line rho holds the proper tilting summands of index
+    rho - 1, so the translated vertices are distinct (see tilting_summands).
     """
-    m, _ = cyclic_order(weights)
-    vertices, arrows = _oracle_structure(weights)
+    m, g = cyclic_order(weights)
+    _check_nonpositive(g)
+    vertices, arrows = _oracle_structure(weights, g.p)
     n = m.n
 
     def translate(vertex: tuple) -> Vector:
@@ -291,7 +290,6 @@ def cyclic_hasse_oracle(weights: Sequence[int]) -> Quiver:
         return truncate_shift(m.row(rho), j)
 
     translated = sorted(translate(v) for v in vertices)
-    assert len(set(translated)) == len(translated)
     arrow_list = sorted(
         (translate(a), translate(b))
         for rule in ("a", "b", "c")

@@ -1,9 +1,10 @@
-"""Exhaustive cycle computations, kept as independent test oracles.
+"""Cycle computations kept as independent test oracles.
 
-They enumerate permutations or cycles outright, so their cost is factorial
-and each rejects inputs above a small size.  The package's own cycle test is
-`tiledorder.find_negative_cycle` (Bellman-Ford); the tests compare it, and
-the normalization it drives, against these definitions.
+Most enumerate permutations or cycles outright, so their cost is factorial;
+the Floyd-Warshall check is cubic.  Each rejects inputs above a small size.
+The package's own cycle test is `tiledorder.find_negative_cycle`
+(Bellman-Ford predecessors); the tests compare it, and the normalization it
+drives, against these definitions.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from itertools import combinations, permutations as iter_permutations
 from typing import Optional, Sequence
 
 from tiledorder import (
+    DomainError,
     IndexOutOfRangeError,
-    NotMinCycleError,
     TooLargeError,
     conjugate_matrix,
 )
@@ -22,6 +23,14 @@ from tiledorder.orders import Vector
 
 BRUTEFORCE_LIMIT = 8
 MIN_CYCLE_LIMIT = 10
+ENUMERATION_LIMIT = 7
+FLOYD_WARSHALL_LIMIT = 30
+
+
+class NotMinCycleError(DomainError):
+    """Raised by normalized_cycle_conjugate for a cycle that is not minimal."""
+
+    code = "NotMinCycle"
 
 
 def is_cycle_nonneg_bruteforce(matrix: Sequence[Sequence[int]]) -> bool:
@@ -65,6 +74,53 @@ def min_cycle(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
                     best = key
     value, _, seq = best
     return seq, value
+
+
+def negative_simple_cycles(matrix: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Every simple cycle of negative sum, written from its smallest index.
+
+    Singletons (i,) stand for the diagonal entries, so this holds for any
+    diagonal, unlike is_cycle_nonneg_bruteforce.  Exhaustive; rejected above
+    n = 7.
+    """
+    rows = _square(matrix)
+    n = len(rows)
+    if n > ENUMERATION_LIMIT:
+        raise TooLargeError(f"n={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    found = set()
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            for rest in iter_permutations(subset[1:]):
+                seq = (subset[0],) + rest
+                if sum(rows[seq[t]][seq[(t + 1) % k]] for t in range(k)) < 0:
+                    found.add(seq)
+    return found
+
+
+def has_negative_cycle_floyd_warshall(matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether some closed walk has negative sum, by Floyd-Warshall.
+
+    d(i,j) starts at m(i,j), diagonal included.  At the end it is the sum of
+    some walk i -> j of at least one edge, and at most that of every simple
+    path i -> j (simple cycle through i when i = j), so some d(i,i) < 0
+    exactly when a negative cycle exists.  Cubic; rejected above n = 30.
+    """
+    rows = _square(matrix)
+    n = len(rows)
+    if n > FLOYD_WARSHALL_LIMIT:
+        raise TooLargeError(
+            f"n={n} exceeds Floyd-Warshall limit {FLOYD_WARSHALL_LIMIT}"
+        )
+    d = [list(row) for row in rows]
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            di = d[i]
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return any(d[i][i] < 0 for i in range(n))
 
 
 def normalized_cycle_conjugate(

@@ -10,7 +10,7 @@ A second grid transcribes the expected two-power fold of the same template
 the fold against an independent rendering instead of re-running the sum.
 """
 
-from tiledorder import Permutation, equivariant_data, floor_profile
+from tiledorder import ExponentMatrix, Permutation, equivariant_data, floor_profile
 
 SYMBOLS = "bcdefghijklmnp"
 
@@ -102,3 +102,15 @@ def two_orbit_block_min(values):
             ),
         ),
     )
+
+
+# An assignment at which the transposed template is a basic, N-graded
+# Gorenstein order: Nakayama permutation TWO_ORBIT_PERM, p = -3 - twist.
+GORENSTEIN_VALUES = dict(
+    b=0, c=4, d=2, e=2, f=3, g=3, h=1, i=1, j=0, k=4, l=1, m=3, n=1, p=3
+)
+
+
+def two_orbit_order():
+    """The two-orbit Gorenstein order at GORENSTEIN_VALUES (validated)."""
+    return ExponentMatrix.from_rows(tuple(zip(*two_orbit_rows(GORENSTEIN_VALUES))))

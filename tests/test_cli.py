@@ -318,3 +318,29 @@ class TestMdata:
         code, _, err = run(capsys, "mdata-check", str(path))
         assert code == 2
         assert stderr_json(err)["code"] == "MalformedInput"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("normalize", "{order}", "--emit", "{out}"),
+            ("mdata-normalize", "{mdata}", "--emit", "{out}"),
+            ("cyclic", "--weights", "1,1,1,1", "--emit", "{out}"),
+            ("quiver", "{order}", "--dot", "{out}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_2(self, tmp_path, capsys, argv):
+        order = tmp_path / "w.json"
+        order.write_text('{"kind": "cyclic", "weights": [1, 1, 1, 1]}')
+        mdata = tmp_path / "md.json"
+        mdata.write_text('{"m": [[0, 2], [2, 0]], "a": [1, 1], "nu": [1, 0]}')
+        out = tmp_path / "no_such_dir" / "x"
+        args = [a.format(order=order, mdata=mdata, out=out) for a in argv]
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        payload = only_stderr_json(err)
+        assert payload["code"] == "MalformedInput"
+        assert str(out) in payload["message"]
+        assert not out.parent.exists()

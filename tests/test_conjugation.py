@@ -11,7 +11,6 @@ from tiledorder import (
     NegativeDiagonalError,
     NotFloorTypeError,
     NotIntegralSumError,
-    NotMinCycleError,
     Permutation,
     TooLargeError,
     conjugate_data,
@@ -31,10 +30,19 @@ from tiledorder import (
 )
 
 from cycle_oracles import (
+    NotMinCycleError,
+    has_negative_cycle_floyd_warshall,
     is_cycle_nonneg_bruteforce,
     min_cycle,
+    negative_simple_cycles,
     normalized_cycle_conjugate,
 )
+from equivariant_templates import (
+    SYMBOLS,
+    two_orbit_data,
+    two_orbit_order,
+)
+from test_gorenstein import relabeled_shifted_cyclic
 from test_orders import CYCLIC_1111, shifted_cyclic
 
 
@@ -109,17 +117,60 @@ class TestFindNegativeCycle:
         assert find_negative_cycle(rows) == (0, 1, 2)
 
     def test_witness_contract(self):
+        # simple, negative sum, smallest index first, deterministic: the
+        # witness is one of the enumerated negative simple cycles
         rng = random.Random(99)
-        for _ in range(300):
+        hits = 0
+        for _ in range(2000):
             n = rng.randint(1, 6)
             rows = random_square(rng, n, -2, 4, zero_diag=rng.random() < 0.8)
             w = find_negative_cycle(rows)
+            negative = negative_simple_cycles(rows)
             if w is None:
-                assert is_cycle_nonneg(rows)
+                assert not negative, rows
             else:
-                assert len(set(w)) == len(w)
-                assert cycle_sum(rows, w) < 0
-                assert w[0] == min(w)
+                assert w in negative, (rows, w)
+                assert find_negative_cycle(rows) == w
+                hits += 1
+        assert 500 < hits < 1500
+
+    def test_existence_matches_floyd_warshall(self):
+        # without a cycle, nonneg_conjugate's unchecked potentials must work
+        rng = random.Random(100)
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            rows = random_square(rng, n, -1, 3 * n, zero_diag=rng.random() < 0.9)
+            w = find_negative_cycle(rows)
+            assert (w is not None) == has_negative_cycle_floyd_warshall(rows), rows
+            if w is None:
+                out = conjugate_matrix(rows, nonneg_conjugate(rows))
+                assert all(x >= 0 for row in out for x in row)
+                continue
+            hits += 1
+            assert len(set(w)) == len(w) and w[0] == min(w)
+            assert sum(rows[a][b] for a, b in zip(w, w[1:] + w[:1])) < 0
+        assert 50 < hits < 250
+
+    def test_planted_unique_cycle(self):
+        # one negative simple cycle on a random subset, in random order: its
+        # edges sum to -1, each edge off it costs more than any path along
+        # it can save, so every other cycle sum is positive
+        rng = random.Random(101)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            length = rng.randint(1, n)
+            cycle = rng.sample(range(n), length)
+            steps = [rng.randint(-5, 5) for _ in range(length - 1)]
+            steps.append(-1 - sum(steps))
+            big = 5 * n + abs(steps[-1]) + 1
+            rows = [[rng.randint(big, 2 * big) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 0
+            for k, step in enumerate(steps):
+                rows[cycle[k]][cycle[(k + 1) % length]] = step
+            start = cycle.index(min(cycle))
+            assert find_negative_cycle(rows) == tuple(cycle[start:] + cycle[:start])
 
 
 class TestMinCycle:
@@ -323,6 +374,29 @@ class TestEquivariantData:
         assert back.matrix == ed.matrix
 
 
+    @given(relabeled_shifted_cyclic())
+    def test_order_data_matches_validating_constructor(self, m):
+        # order_equivariant_data builds its result without validation
+        from tiledorder import detect_gorenstein
+
+        g = detect_gorenstein(m)
+        expected = equivariant_data(m.transpose(), tuple(-x for x in g.p), g.nu)
+        assert order_equivariant_data(m, g) == expected
+
+    def test_order_data_matches_validating_constructor_two_orbits(self):
+        from tiledorder import detect_gorenstein, morita_shift
+
+        rng = random.Random(19)
+        base = two_orbit_order()
+        for _ in range(50):
+            m = morita_shift(base, [rng.randint(-4, 4) for _ in range(base.n)])
+            g = detect_gorenstein(m)
+            assert len(g.nu.orbits()) == 2
+            expected = equivariant_data(
+                m.transpose(), tuple(-x for x in g.p), g.nu
+            )
+            assert order_equivariant_data(m, g) == expected
+
     def test_conjugation_preserves_validity_two_orbits(self):
         from equivariant_templates import SYMBOLS, two_orbit_data
 
@@ -331,6 +405,11 @@ class TestEquivariantData:
             ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
             moved = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
             assert equivariant_data(moved.matrix, moved.twist, ed.perm) == moved
+            # equivariant_data averages the first orbit only; equivariance
+            # forces the other to agree
+            for orbit in moved.orbits:
+                average = Fraction(sum(moved.twist[i] for i in orbit), len(orbit))
+                assert average == Fraction(1, 2)
 
 
 class TestFloorAlign:
@@ -393,6 +472,14 @@ def assert_periodic(ed):
             assert ed.matrix[power[i]][power[j]] == ed.matrix[i][j]
 
 
+def assert_fold_invariant(ed):
+    """fold_orbits' summed is invariant under (i, j) -> (perm i, perm j)."""
+    summed = fold_orbits(ed).summed
+    for i in range(ed.n):
+        for j in range(ed.n):
+            assert summed[ed.perm(i)][ed.perm(j)] == summed[i][j]
+
+
 class TestFoldOrbits:
     def test_full_cycle_period_one(self):
         m, g = cyclic_order((1, 1, 1, 1))
@@ -414,13 +501,15 @@ class TestFoldOrbits:
         st.lists(st.integers(-4, 4), min_size=6, max_size=6),
     )
     def test_aligned_data_is_periodic(self, m, raw):
-        # fold_orbits relies on this without checking it: floor-aligned data
-        # is invariant under perm^g
+        # fold_orbits relies on these without checking them: floor-aligned
+        # data is invariant under perm^g, and its fold under perm
         from tiledorder import detect_gorenstein
 
         s = tuple(raw[: m.n])
         ed = conjugate_data(order_equivariant_data(m, detect_gorenstein(m)), s)
-        assert_periodic(conjugate_data(ed, floor_align(ed)))
+        aligned = conjugate_data(ed, floor_align(ed))
+        assert_periodic(aligned)
+        assert_fold_invariant(aligned)
 
     def test_aligned_two_orbit_data_is_periodic(self):
         from equivariant_templates import SYMBOLS, two_orbit_data
@@ -429,7 +518,9 @@ class TestFoldOrbits:
         for _ in range(50):
             ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
             ed = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
-            assert_periodic(conjugate_data(ed, floor_align(ed)))
+            aligned = conjugate_data(ed, floor_align(ed))
+            assert_periodic(aligned)
+            assert_fold_invariant(aligned)
 
     def test_two_block_example(self):
         m, g = cyclic_order((2, 0, 0, 0))
@@ -493,6 +584,24 @@ class TestNormalizeEquivariant:
         assert all(abs(t - out.twist_avg) < 1 for t in out.twist)
         assert is_floor_aligned(out)
         assert out.twist_avg == ed.twist_avg
+
+
+    def test_postconditions_two_orbits(self):
+        rng = random.Random(21)
+        done = 0
+        for _ in range(300):
+            values = {x: rng.randint(-1, 4) for x in SYMBOLS}
+            values.update(b=0, j=0)  # the diagonal
+            ed = two_orbit_data(values)
+            ed = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
+            if has_negative_cycle_floyd_warshall(ed.matrix):
+                continue
+            out = conjugate_data(ed, normalize_equivariant(ed))
+            assert all(x >= 0 for row in out.matrix for x in row)
+            assert all(abs(t - out.twist_avg) < 1 for t in out.twist)
+            assert is_floor_aligned(out)
+            done += 1
+        assert done > 25
 
 
 class TestTwoOrbitTemplate:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from tiledorder import (
     shifted_parameters,
 )
 
-from test_orders import CYCLIC_1111, shifted_cyclic
+from equivariant_templates import two_orbit_order
+from test_orders import CYCLIC_1111, metric_orders, shifted_cyclic
 
 
 @st.composite
@@ -78,6 +80,28 @@ class TestDetect:
         assert g.nu.images == Permutation.cycle(m.n).images
         assert g.p_av == Fraction(sum(g.p), m.n)
 
+
+    def test_two_orbit_averages_agree(self):
+        # detect_gorenstein does not compare orbit averages; the defining
+        # relation forces them equal
+        rng = random.Random(22)
+        base = two_orbit_order()
+        for _ in range(50):
+            m = morita_shift(base, [rng.randint(-4, 4) for _ in range(base.n)])
+            g = detect_gorenstein(m)
+            orbits = g.nu.orbits()
+            assert [len(o) for o in orbits] == [4, 6]
+            for orbit in orbits:
+                assert Fraction(sum(g.p[i] for i in orbit), len(orbit)) == g.p_av
+
+    @given(metric_orders())
+    def test_detected_orders_are_basic(self, m):
+        # tilting_summands relies on this for distinct summands
+        try:
+            detect_gorenstein(m)
+        except (AmbiguousNakayamaError, NotGorensteinError):
+            return
+        assert m.is_basic
 
     @given(relabeled_shifted_cyclic())
     def test_defining_relation_consequences(self, m):

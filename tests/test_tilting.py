@@ -30,6 +30,7 @@ from tiledorder import (
 )
 from tiledorder.tilting import HASSE_LIMIT
 
+from equivariant_templates import two_orbit_order
 from hasse_oracle import pairwise_hasse_quiver
 from test_orders import shifted_cyclic, weights_strategy
 
@@ -51,6 +52,46 @@ SUMMANDS_1111 = [
 ]
 
 
+def n_graded_gorenstein_orders(seed, count):
+    """Seeded N-graded Gorenstein orders with all p_i <= 0 and their data.
+
+    Cyclic orders with zero weights, their N-graded Morita shifts with the
+    indices relabeled, and N-graded shifts of the two-orbit order, whose
+    Nakayama permutation has two orbits.
+    """
+    rng = random.Random(seed)
+    two_orbit = two_orbit_order()
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 2:
+            m = morita_shift(two_orbit, [rng.randint(0, 1) for _ in range(10)])
+        else:
+            n = rng.randint(1, 6)
+            w = tuple(rng.randint(0, 3) for _ in range(n))
+            if not any(w):
+                continue
+            m, _ = cyclic_order(w)
+            if kind == 1:
+                s = [rng.randint(-2, 2) for _ in range(n)]
+                o = rng.sample(range(n), n)
+                shifted = morita_shift(m, s)
+                m = ExponentMatrix.from_rows(
+                    [[shifted.entry(o[i], o[j]) for j in range(n)] for i in range(n)]
+                )
+        g = detect_gorenstein(m)
+        if m.is_n_graded and all(x <= 0 for x in g.p):
+            out.append((m, g))
+    return out
+
+
+def literal_lattice_vector(m, v):
+    """v(j) <= min_i (v(i) + m(i, j)), written out entry by entry."""
+    return all(
+        v[j] <= min(v[i] + m.entry(i, j) for i in range(m.n)) for j in range(m.n)
+    )
+
+
 class TestLatticeVectors:
     def test_matrix_rows_are_valid(self):
         for i in range(4):
@@ -64,17 +105,13 @@ class TestLatticeVectors:
         assert not is_lattice_vector(m2, (0, 2))
 
     def test_matches_definition(self):
-        # v(j) <= min_i (v(i) + m(i, j)), written out entry by entry
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(1, 6)
             m, _ = cyclic_order(tuple(rng.randint(0, 3) for _ in range(n - 1)) + (1,))
             m = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
             v = tuple(rng.randint(-3, 4) for _ in range(n))
-            literal = all(
-                v[j] <= min(v[i] + m.entry(i, j) for i in range(n)) for j in range(n)
-            )
-            assert is_lattice_vector(m, v) == literal
+            assert is_lattice_vector(m, v) == literal_lattice_vector(m, v)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -149,6 +186,18 @@ class TestSummands:
         )
         assert ei.value.witness == first
 
+    def test_distinct_lattice_vectors(self):
+        # tilting_summands states these facts without checking them
+        for m, g in n_graded_gorenstein_orders(30, 150):
+            out = tilting_summands(m, g)
+            vectors = [vec for _, vec in out]
+            zero = (0,) * m.n
+            assert len(set(vectors)) == len(vectors) == 1 - sum(g.p)
+            labels = dict((vec, labs) for labs, vec in out)
+            assert labels[zero] == tuple((s, -g.p[s] + 1) for s in range(m.n))
+            assert all(len(labels[vec]) == 1 for vec in vectors if vec != zero)
+            assert all(literal_lattice_vector(m, vec) for vec in vectors)
+
     @given(weights_strategy())
     def test_counts(self, w):
         m, g = cyclic_order(tuple(w))
@@ -171,6 +220,13 @@ class TestPoset:
         g = detect_gorenstein(shifted)
         assert g.p == (-3, -1, -3, -1)
         assert len(tilting_poset(shifted, g).elements) == 9
+
+    def test_size_and_minimum(self):
+        for m, g in n_graded_gorenstein_orders(31, 150):
+            elements = tilting_poset(m, g).elements
+            assert len(elements) == 1 - sum(g.p)
+            assert elements[0] == (0,) * m.n
+            assert all(x >= 0 for vec in elements for x in vec)
 
     def test_rank(self):
         _, g = cyclic_order((2, 1, 1, 1))
@@ -283,8 +339,27 @@ class TestHasse:
         assert ei.value.witness == HASSE_LIMIT + 1
 
     def test_quiver_validates_endpoints(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Quiver(vertices=((0, 0),), arrows=(((0, 0), (1, 1)),))
+
+    def test_quiver_rejects_repeated_arrows(self):
+        arrow = ((1, 1), (0, 0))
+        with pytest.raises(ValueError):
+            Quiver(vertices=((0, 0), (1, 1)), arrows=(arrow, arrow))
+
+    def test_oracle_vertices_distinct(self):
+        rng = random.Random(32)
+        checked = 0
+        while checked < 100:
+            w = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6)))
+            if not any(w):
+                continue
+            m, g = cyclic_order(w)
+            if any(x > 0 for x in g.p):
+                continue
+            vertices = cyclic_hasse_oracle(w).vertices
+            assert len(set(vertices)) == len(vertices) == 1 - sum(g.p)
+            checked += 1
 
 
 class TestEndoBlocks:
@@ -305,20 +380,28 @@ class TestEndoBlocks:
         with pytest.raises(IndexOutOfRangeError):
             endo_block_dim(M4, G4, (0, 1), (0, 4))
 
+    def test_not_n_graded_rejected(self):
+        # the zero slots of a non-N-graded order are not zero vectors
+        m = ExponentMatrix.from_rows([[0, 5, 8], [1, 0, 3], [-2, 3, 0]])
+        with pytest.raises(NotNGradedError) as ei:
+            endo_block_dim(m, detect_gorenstein(m), (1, 1), (1, 3))
+        assert ei.value.witness == (2, 0)
+
     def test_tilde_index_sets(self):
         proper, zero_slots = tilde_index_sets(G4)
         assert proper == {(s, j) for s in range(4) for j in (1, 2)}
         assert zero_slots == {(s, 3) for s in range(4)}
 
     def test_agrees_with_hom_dim(self):
-        proper, zero_slots = tilde_index_sets(G4)
-        pairs = sorted(proper | zero_slots)
-        count = 0
-        for a in pairs:
-            for b in pairs:
-                endo_block_dim(M4, G4, a, b)
-                count += 1
-        assert count == 144
+        for m, g in [(M4, G4)] + n_graded_gorenstein_orders(33, 24):
+            proper, zero_slots = tilde_index_sets(g)
+            slots = sorted(proper | zero_slots)
+            vec = {(s, i): truncate_shift(m.row(g.nu(s)), i) for s, i in slots}
+            for a in slots:
+                for b in slots:
+                    assert endo_block_dim(m, g, a, b) == hom_dim(
+                        m, vec[a], vec[b], 0
+                    ), (m, a, b)
 
 
 class TestOracleErrors:
