@@ -88,6 +88,10 @@ def cmd_normalize(args) -> int:
     s = normalize_equivariant(order_equivariant_data(m, g))
     shifted = morita_shift(m, tuple(-x for x in s))
     new_p = shifted_parameters(g, s)
+    if args.emit:  # before printing, so a failed write prints nothing
+        files.write_order_file(
+            args.emit, files.OrderSource(kind="matrix", matrix=shifted.rows)
+        )
     print(f"s: {_vector_str(s)}")
     print(f"p': {_vector_str(new_p)}")
     print(f"p_av: {files.rational_str(g.p_av)}")
@@ -95,9 +99,6 @@ def cmd_normalize(args) -> int:
     for row in shifted.rows:
         print(f"  {_vector_str(row)}")
     if args.emit:
-        files.write_order_file(
-            args.emit, files.OrderSource(kind="matrix", matrix=shifted.rows)
-        )
         print(f"emitted: {args.emit}")
     return 0
 
@@ -118,18 +119,17 @@ def cmd_quiver(args) -> int:
     m = files.order_matrix(source)
     g = detect_gorenstein(m)
     quiver = hasse_quiver(tilting_poset(m, g))
-    print(f"vertices: {len(quiver.vertices)}")
-    print(f"arrows: {len(quiver.arrows)}")
+    lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.arrows)}"]
     if args.dot:
         files.write_text(args.dot, files.quiver_dot(quiver))
-        print(f"emitted: {args.dot}")
+        lines.append(f"emitted: {args.dot}")
     if args.oracle:
         if source.kind != "cyclic":
             raise NotCyclicError("--oracle requires a cyclic order file")
-        oracle = cyclic_hasse_oracle(source.weights)
-        if oracle != quiver:
+        if cyclic_hasse_oracle(source.weights) != quiver:
             raise DomainError("oracle and cover computation disagree")
-        print("oracle: ISOMORPHIC")
+        lines.append("oracle: ISOMORPHIC")
+    print("\n".join(lines))  # after every write and check
     return 0
 
 
@@ -145,11 +145,12 @@ def cmd_mdata_normalize(args) -> int:
     ed = files.read_equivariant_file(args.mdata)
     s = normalize_equivariant(ed)
     out = conjugate_data(ed, s)
+    if args.emit:  # before printing, so a failed write prints nothing
+        files.write_equivariant_file(args.emit, out)
     print(f"s: {_vector_str(s)}")
     print(f"a': {_vector_str(out.twist)}")
     print(f"a_av: {files.rational_str(out.twist_avg)}")
     if args.emit:
-        files.write_equivariant_file(args.emit, out)
         print(f"emitted: {args.emit}")
     return 0
 

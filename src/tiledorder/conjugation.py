@@ -204,9 +204,9 @@ def equivariant_data(
         raise DimensionMismatchError(
             f"permutation acts on {perm.n} indices, matrix has {n}"
         )
-    for i in range(n):
-        for j in range(n):
-            if rows[perm(i)][perm(j)] != rows[i][j] - tw[i] + tw[j]:
+    for i, (row, moved) in enumerate(zip(rows, [rows[k] for k in perm.images])):
+        for j, (x, t, k) in enumerate(zip(row, tw, perm.images)):
+            if moved[k] != x - tw[i] + t:
                 raise EquivarianceViolationError(
                     f"matrix(perm({i}), perm({j})) != matrix({i},{j}) "
                     f"- twist({i}) + twist({j})",
@@ -309,26 +309,26 @@ class OrbitFold:
 def fold_orbits(ed: EquivariantData) -> OrbitFold:
     """Fold floor-aligned data over perm powers and minimize over orbit blocks.
 
-    Floor alignment makes the matrix invariant under perm^g: g steps of the
-    equivariance relation change m(i,j) by A(j) - A(i), A(i) the sum of g
-    consecutive twists along the orbit of i.  A floor profile has period g
-    and any g consecutive terms sum to r, so A is constant.  So summed is
-    invariant under (i,j) -> (perm i, perm j), which trades its term m(i,j)
-    for the equal m(perm^g i, perm^g j).
+    k steps of the equivariance relation give m(perm^k i, perm^k j) = m(i,j)
+    - A_k(i) + A_k(j), A_k(i) = sum_{t<k} twist(perm^t i), so on any data
+    summed(i,j) = g * m(i,j) - B(i) + B(j), B(i) = sum_{k<g} A_k(i): O(n^2 +
+    g * n).  Floor-aligned twists are floor profiles, of period g with any g
+    consecutive terms summing to r, so A_g is constant, m is invariant under
+    perm^g, and summed under perm: a shift by one power trades its term
+    m(i,j) for the equal m(perm^g i, perm^g j).
     """
     if not is_floor_aligned(ed):
         raise NotFloorTypeError("twist is not a rotation of its floor profile")
-    n = ed.n
     g = ed.period
-    powers = [ed.perm.power_images(k) for k in range(g)]
+    b = [0] * ed.n
+    walk = range(ed.n)  # perm^t i; B(i) = sum_{t<g} (g-1-t) twist(perm^t i)
+    for weight in range(g - 1, 0, -1):
+        b = [bi + weight * ed.twist[v] for bi, v in zip(b, walk)]
+        walk = [ed.perm.images[v] for v in walk]
     summed = tuple(
-        tuple(
-            sum(ed.matrix[powers[k][i]][powers[k][j]] for k in range(g))
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(g * x - bi + bj for x, bj in zip(row, b)) for row, bi in zip(ed.matrix, b)
     )
-    orbit_of = [0] * n
+    orbit_of = [0] * ed.n
     for x, orbit in enumerate(ed.orbits):
         for i in orbit:
             orbit_of[i] = x

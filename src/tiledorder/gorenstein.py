@@ -51,16 +51,17 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     m(nu j, i) = m(i,j) + p_j - p_i.  Applying that L times, L the order of
     nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
     so every orbit has parameter average p_av.
+
+    Row u fits column i (m(u,j) + m(j,i) constant in j) exactly when its
+    pattern (m(u,j) - m(u,0))_j equals the column's negated pattern (m(0,i) -
+    m(j,i))_j, with ell_i = m(u,0) + m(0,i): one dict lookup per column.
     """
-    n = m.n
+    fitting: dict[Vector, list[int]] = {}
+    for u, row in enumerate(m.rows):
+        fitting.setdefault(tuple(x - row[0] for x in row), []).append(u)
     images = []
-    ells = []
-    for i in range(n):
-        candidates = []
-        for u in range(n):
-            sums = {m.entry(u, j) + m.entry(j, i) for j in range(n)}
-            if len(sums) == 1:
-                candidates.append((u, sums.pop()))
+    for i, col in enumerate(m.transpose()):
+        candidates = fitting.get(tuple(col[0] - x for x in col), [])
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i
@@ -68,15 +69,13 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
         if len(candidates) > 1:
             raise AmbiguousNakayamaError(
                 f"several rows are constant against column {i}",
-                witness=(i, [u for u, _ in candidates]),
+                witness=(i, list(candidates)),
             )
-        u, ell = candidates[0]
-        images.append(u)
-        ells.append(ell)
+        images.append(candidates[0])
     nu = Permutation(tuple(images))  # raises NotBijectiveError if degenerate
-    ell = tuple(ells)
+    ell = tuple(m.rows[u][0] + m.rows[0][i] for i, u in enumerate(images))
     p = tuple(1 - e for e in ell)
-    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
+    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), m.n))
 
 
 def shifted_parameters(g: GorensteinData, s: Sequence[int]) -> Vector:

@@ -34,13 +34,28 @@ def freeze_rows(rows: Iterable[Sequence[int]]) -> Rows:
 
 
 def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
-    """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically."""
+    """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
+
+    Rows are packed into ints, field k (w bits) of P_j holding m(j,k) - lo, lo
+    = min(0, min m).  Each defect d = m(i,j) + m(j,k) - m(i,k) has |d| <= 2 *
+    (max(0, max m) - lo) < half = 2**(w-1), so every field of P_j - P_i +
+    (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half with no
+    borrow, its top bit set iff d >= 0.  Packed rows take about input memory.
+    """
     n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[i][j] + rows[j][k] < rows[i][k]:
-                    return (i, j, k)
+    lo = min(0, *map(min, rows))
+    size = (2 * (max(0, *map(max, rows)) - lo)).bit_length() // 8 + 1  # w = 8 * size
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+    top = ones << (8 * size - 1)
+    packed = [
+        int.from_bytes(b"".join((x - lo).to_bytes(size, "little") for x in r), "little")
+        for r in rows
+    ]
+    for i, (row, pi) in enumerate(zip(rows, packed)):
+        base = top - pi
+        for j, (mij, pj) in enumerate(zip(row, packed)):
+            if (pj + base + mij * ones) & top != top:
+                return (i, j, next(k for k in range(n) if mij + rows[j][k] < row[k]))
     return None
 
 

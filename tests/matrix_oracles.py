@@ -1,0 +1,113 @@
+"""The cubic matrix-layer computations, kept as independent test oracles.
+
+These are the direct definitions the package used before its fast versions:
+the triple-loop triangle scan, Gorenstein detection that tries every row
+against every column, and the orbit fold that sums g permuted copies of the
+matrix.  `tiledorder.first_triangle_violation`, `tiledorder.detect_gorenstein`
+and `tiledorder.fold_orbits` must agree with them exactly: same witnesses,
+same exceptions, same data.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from tiledorder.conjugation import EquivariantData, OrbitFold, is_floor_aligned
+from tiledorder.errors import (
+    AmbiguousNakayamaError,
+    NotFloorTypeError,
+    NotGorensteinError,
+)
+from tiledorder.gorenstein import GorensteinData
+from tiledorder.orders import ExponentMatrix, Permutation, Rows
+
+
+def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] + rows[j][k] < rows[i][k]:
+                    return (i, j, k)
+    return None
+
+
+def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
+    """Find the unique (nu, ell) certifying the Gorenstein condition.
+
+    Raises NotGorensteinError(i) when no candidate row works for index i, and
+    AmbiguousNakayamaError(i) when several do.  A detected order is basic:
+    rows u, u' with m(u,u') + m(u',u) = 0 differ by a constant (triangle
+    inequality), so both or neither fit each column, and nu is onto.
+
+    The relation forces the rest: j = i gives ell_i = m(nu(i), i), and the
+    relation for i at nu(j) and for j at i give m(nu i, nu j) = ell_i -
+    m(nu j, i) = m(i,j) + p_j - p_i.  Applying that L times, L the order of
+    nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
+    so every orbit has parameter average p_av.
+    """
+    n = m.n
+    images = []
+    ells = []
+    for i in range(n):
+        candidates = []
+        for u in range(n):
+            sums = {m.entry(u, j) + m.entry(j, i) for j in range(n)}
+            if len(sums) == 1:
+                candidates.append((u, sums.pop()))
+        if not candidates:
+            raise NotGorensteinError(
+                f"no row is constant against column {i}", witness=i
+            )
+        if len(candidates) > 1:
+            raise AmbiguousNakayamaError(
+                f"several rows are constant against column {i}",
+                witness=(i, [u for u, _ in candidates]),
+            )
+        u, ell = candidates[0]
+        images.append(u)
+        ells.append(ell)
+    nu = Permutation(tuple(images))  # raises NotBijectiveError if degenerate
+    ell = tuple(ells)
+    p = tuple(1 - e for e in ell)
+    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
+
+
+def fold_orbits(ed: EquivariantData) -> OrbitFold:
+    """Fold floor-aligned data over perm powers and minimize over orbit blocks.
+
+    Floor alignment makes the matrix invariant under perm^g: g steps of the
+    equivariance relation change m(i,j) by A(j) - A(i), A(i) the sum of g
+    consecutive twists along the orbit of i.  A floor profile has period g
+    and any g consecutive terms sum to r, so A is constant.  So summed is
+    invariant under (i,j) -> (perm i, perm j), which trades its term m(i,j)
+    for the equal m(perm^g i, perm^g j).
+    """
+    if not is_floor_aligned(ed):
+        raise NotFloorTypeError("twist is not a rotation of its floor profile")
+    n = ed.n
+    g = ed.period
+    powers = [ed.perm.power_images(k) for k in range(g)]
+    summed = tuple(
+        tuple(
+            sum(ed.matrix[powers[k][i]][powers[k][j]] for k in range(g))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    orbit_of = [0] * n
+    for x, orbit in enumerate(ed.orbits):
+        for i in orbit:
+            orbit_of[i] = x
+    block_min = tuple(
+        tuple(
+            min(summed[i][j] for i in ox for j in oy)
+            for oy in ed.orbits
+        )
+        for ox in ed.orbits
+    )
+    return OrbitFold(
+        period=g, summed=summed, block_min=block_min, orbit_of=tuple(orbit_of)
+    )

@@ -170,8 +170,9 @@ class TestQuiver:
             '{"kind": "matrix",'
             ' "m": [[0, 1, 2, 3], [3, 0, 1, 2], [2, 3, 0, 1], [1, 2, 3, 0]]}'
         )
-        code, _, err = run(capsys, "quiver", str(path), "--oracle")
+        code, out, err = run(capsys, "quiver", str(path), "--oracle")
         assert code == 1
+        assert out == ""
         assert stderr_json(err)["code"] == "NotCyclic"
 
     def test_not_n_graded(self, tmp_path, capsys):
@@ -338,8 +339,9 @@ class TestUnwritableOutput:
         mdata.write_text('{"m": [[0, 2], [2, 0]], "a": [1, 1], "nu": [1, 0]}')
         out = tmp_path / "no_such_dir" / "x"
         args = [a.format(order=order, mdata=mdata, out=out) for a in argv]
-        code, _, err = run(capsys, *args)
+        code, stdout, err = run(capsys, *args)
         assert code == 2
+        assert stdout == ""
         payload = only_stderr_json(err)
         assert payload["code"] == "MalformedInput"
         assert str(out) in payload["message"]

@@ -1,0 +1,306 @@
+"""The matrix layer's fast paths against the cubic code they replaced.
+
+`matrix_oracles` holds the triple-loop triangle scan, the row-by-column
+Gorenstein detection and the power-sum orbit fold unchanged; every test here
+is seeded and compares witnesses, exception classes and results exactly.
+"""
+
+import random
+
+import pytest
+
+import matrix_oracles
+from tiledorder import (
+    AmbiguousNakayamaError,
+    DomainError,
+    EquivarianceViolationError,
+    ExponentMatrix,
+    NonzeroDiagonalError,
+    NotGorensteinError,
+    Permutation,
+    TriangleViolationError,
+    conjugate_data,
+    cyclic_order,
+    detect_gorenstein,
+    equivariant_data,
+    floor_align,
+    fold_orbits,
+    is_floor_aligned,
+    morita_shift,
+    order_equivariant_data,
+    validate_order,
+)
+from tiledorder import conjugation
+from tiledorder.orders import first_triangle_violation
+
+from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
+
+HUGE = 10**400
+
+
+def shortest_path_closure(rng, n, lo, hi):
+    """A valid exponent matrix: closure of arc weights c(i,j) + s(i) - s(j), c >= 0.
+
+    The shifts make entries negative without creating negative cycles.
+    """
+    s = [rng.randint(lo, hi) for _ in range(n)]
+    d = [
+        [0 if i == j else rng.randint(0, hi) + s[i] - s[j] for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def perturbed(rng, d, scale):
+    """d scaled, with a few off-diagonal entries nudged by small amounts."""
+    n = len(d)
+    rows = [[x * scale for x in row] for row in d]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            rows[i][j] += rng.choice((-2, -1, 1, 2))
+    return tuple(tuple(row) for row in rows)
+
+
+def relabeled_shifted_cyclic(rng, n):
+    w = [rng.randint(0, 3) for _ in range(n)]
+    w[rng.randrange(n)] += 1
+    m, _ = cyclic_order(w)
+    m = morita_shift(m, [rng.randint(-5, 5) for _ in range(n)])
+    o = list(range(n))
+    rng.shuffle(o)
+    return ExponentMatrix(
+        tuple(tuple(m.rows[o[i]][o[j]] for j in range(n)) for i in range(n))
+    )
+
+
+def outcome(detect, m):
+    try:
+        return detect(m)
+    except DomainError as exc:
+        return type(exc), exc.witness
+
+
+class TestTriangleScanDifferential:
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_witness_matches_triple_loop(self, scale):
+        rng = random.Random(401 if scale == 1 else 402)
+        seen = [set(), set(), set()]
+        violations = 0
+        for _ in range(1500):
+            n = rng.randint(1, 8)
+            d = shortest_path_closure(rng, n, -4, 4)
+            rows = perturbed(rng, d, scale)
+            got = first_triangle_violation(rows)
+            assert got == matrix_oracles.first_triangle_violation(rows)
+            if got is not None:
+                violations += 1
+                for axis, x in enumerate(got):
+                    seen[axis].add(x)
+        assert violations > 300
+        # witnesses land on every coordinate of every axis
+        assert all(axis == set(range(8)) for axis in seen)
+
+    def test_random_entries(self):
+        rng = random.Random(403)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            lo, hi = sorted((rng.randint(-9, 9), rng.randint(-9, 9)))
+            rows = tuple(
+                tuple(0 if i == j else rng.randint(lo, hi) for j in range(n))
+                for i in range(n)
+            )
+            assert first_triangle_violation(rows) == (
+                matrix_oracles.first_triangle_violation(rows)
+            )
+
+
+class TestTriangleScanEdges:
+    def test_single_entry(self):
+        assert ExponentMatrix.from_rows([[0]]).rows == ((0,),)
+        report = validate_order([[0]])
+        assert report.fully_valid and report.first_violation is None
+        with pytest.raises(NonzeroDiagonalError):
+            ExponentMatrix.from_rows([[3]])
+
+    @pytest.mark.parametrize("i", range(7))
+    def test_unique_violation_at_each_row(self, i):
+        # unit 7-cycle with m(i, i+2) raised by one: the only violation is
+        # (i, i+1, i+2) mod 7; i = 6 puts it in the last row, i = 4 at k = 6
+        n = 7
+        m, _ = cyclic_order((1,) * n)
+        rows = [list(row) for row in m.rows]
+        rows[i][(i + 2) % n] += 1
+        witness = (i, (i + 1) % n, (i + 2) % n)
+        assert first_triangle_violation(tuple(map(tuple, rows))) == witness
+        with pytest.raises(TriangleViolationError) as ei:
+            ExponentMatrix.from_rows(rows)
+        assert ei.value.witness == witness
+        assert validate_order(rows).first_violation == witness
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(-3, 5), (-7, 0), (0, 4), (-60, 60), (-127, 0), (-HUGE, HUGE)]
+    )
+    def test_entries_at_the_extremes(self, lo, hi):
+        # off-diagonal entries all lo, all hi, or each one of the two: the
+        # defects reach +-2 * span, the edge of the field width
+        rng = random.Random(404)
+        for n in range(2, 7):
+            def fill(pick):
+                return tuple(
+                    tuple(0 if i == j else pick() for j in range(n)) for i in range(n)
+                )
+
+            assert first_triangle_violation(fill(lambda: hi)) is None
+            expected = (0, 1, 0) if lo < 0 else None
+            assert first_triangle_violation(fill(lambda: lo)) == expected
+            for _ in range(30):
+                rows = fill(lambda: rng.choice((lo, hi)))
+                assert first_triangle_violation(rows) == (
+                    matrix_oracles.first_triangle_violation(rows)
+                )
+
+    def test_negative_entries_with_a_nonnegative_row(self):
+        rng = random.Random(405)
+        negative = 0
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            d = shortest_path_closure(rng, n, -6, 3)
+            keep = rng.randrange(n)
+            d[keep] = [abs(x) for x in d[keep]]
+            rows = tuple(map(tuple, d))
+            negative += min(map(min, rows)) < 0
+            assert first_triangle_violation(rows) == (
+                matrix_oracles.first_triangle_violation(rows)
+            )
+        assert negative > 200
+
+    def test_huge_entries(self):
+        m, _ = cyclic_order((1, 2, 0, 3, 1))
+        scaled = ExponentMatrix(tuple(tuple(x * HUGE for x in row) for row in m.rows))
+        m = morita_shift(scaled, (0, HUGE, -HUGE, 2 * HUGE, 7))
+        assert min(map(min, m.rows)) < -HUGE
+        assert ExponentMatrix.from_rows(m.rows) == m
+        assert validate_order(m.rows).triangle_ok
+        rows = [list(row) for row in m.rows]
+        rows[3][0] += 1  # now exceeds m(3,4) + m(4,0), its only tight path
+        with pytest.raises(TriangleViolationError) as ei:
+            ExponentMatrix.from_rows(rows)
+        assert ei.value.witness == (3, 4, 0)
+        assert matrix_oracles.first_triangle_violation(
+            tuple(map(tuple, rows))
+        ) == (3, 4, 0)
+
+
+class TestDetectDifferential:
+    def test_random_matrices(self):
+        rng = random.Random(406)
+        kinds = set()
+        for _ in range(4000):
+            n = rng.randint(1, 4)
+            rows = tuple(
+                tuple(0 if i == j else rng.randint(0, 2) for j in range(n))
+                for i in range(n)
+            )
+            m = ExponentMatrix(rows)
+            got = outcome(detect_gorenstein, m)
+            assert got == outcome(matrix_oracles.detect_gorenstein, m)
+            kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        # NotBijectiveError cannot occur once every column has exactly one
+        # row: columns i != i' on one row make rows i and i' differ by a
+        # constant, so neither row is hit; then the columns indexed by hit
+        # rows sit alone on their rows and use up every hit row
+        assert kinds == {"ok", NotGorensteinError, AmbiguousNakayamaError}
+
+    def test_relabeled_shifted_cyclic_orders(self):
+        rng = random.Random(407)
+        for _ in range(300):
+            m = relabeled_shifted_cyclic(rng, rng.randint(1, 9))
+            assert detect_gorenstein(m) == matrix_oracles.detect_gorenstein(m)
+
+    def test_shifted_two_orbit_order(self):
+        rng = random.Random(408)
+        base = two_orbit_order()
+        for _ in range(50):
+            m = morita_shift(base, [rng.randint(-6, 6) for _ in range(base.n)])
+            assert detect_gorenstein(m) == matrix_oracles.detect_gorenstein(m)
+
+
+class TestFoldDifferential:
+    def test_aligned_cyclic_data(self):
+        rng = random.Random(409)
+        for _ in range(200):
+            m = relabeled_shifted_cyclic(rng, rng.randint(1, 9))
+            ed = order_equivariant_data(m, detect_gorenstein(m))
+            aligned = conjugate_data(ed, floor_align(ed))
+            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+
+    def test_aligned_two_orbit_data(self):
+        rng = random.Random(410)
+        for _ in range(50):
+            ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
+            ed = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
+            aligned = conjugate_data(ed, floor_align(ed))
+            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+
+    def test_closed_form_needs_no_alignment(self, monkeypatch):
+        # with the gate lifted on both sides, the closed form and the power
+        # sum agree on unaligned data too
+        rng = random.Random(411)
+        data = []
+        for _ in range(100):
+            m = relabeled_shifted_cyclic(rng, rng.randint(2, 8))
+            ed = order_equivariant_data(m, detect_gorenstein(m))
+            data.append(conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)]))
+        for _ in range(30):
+            ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
+            data.append(conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)]))
+        unaligned = [ed for ed in data if not is_floor_aligned(ed)]
+        assert len(unaligned) > 60
+        monkeypatch.setattr(conjugation, "is_floor_aligned", lambda ed: True)
+        monkeypatch.setattr(matrix_oracles, "is_floor_aligned", lambda ed: True)
+        for ed in unaligned:
+            assert fold_orbits(ed) == matrix_oracles.fold_orbits(ed)
+
+
+class TestEquivarianceScan:
+    def test_first_witness_in_row_major_order(self):
+        rng = random.Random(412)
+        witnesses = set()
+        for _ in range(3000):
+            m = relabeled_shifted_cyclic(rng, rng.randint(1, 5))
+            g = detect_gorenstein(m)
+            rows = [list(row) for row in m.transpose()]
+            twist = [-x for x in g.p]
+            if rng.random() < 0.8:
+                i, j = rng.randrange(m.n), rng.randrange(m.n)
+                rows[i][j] += rng.choice((-1, 1))
+            images = g.nu.images
+            expected = next(
+                (
+                    (i, j)
+                    for i in range(m.n)
+                    for j in range(m.n)
+                    if rows[images[i]][images[j]] != rows[i][j] - twist[i] + twist[j]
+                ),
+                None,
+            )
+            try:
+                equivariant_data(rows, twist, Permutation(images))
+                got = None
+            except EquivarianceViolationError as exc:
+                got = exc.witness
+                i, j = got
+                assert str(exc) == (
+                    f"matrix(perm({i}), perm({j})) != matrix({i},{j}) "
+                    f"- twist({i}) + twist({j})"
+                )
+            assert got == expected
+            witnesses.add(got)
+        assert None in witnesses
+        assert {w[1] for w in witnesses if w} == set(range(5))
