@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 for domain errors (validation failures, missing
 Gorenstein structure, negative cycles, positive parameters, ...) with a
 machine-readable {code, message, witness} object on stderr, 2 for malformed
-input files or flags.  All output is deterministic.
+input files or flags, 3 for internal failures (any other exception, or
+``quiver --oracle`` disagreeing with the cover computation) with one
+{"code": "Internal", "message": "<Type>: <text>", "witness": null} object on
+stderr.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import files
 from .conjugation import (
@@ -28,6 +31,7 @@ from .errors import (
 from .gorenstein import cyclic_order, detect_gorenstein, shifted_parameters
 from .orders import morita_shift, validate_order
 from .tilting import (
+    check_hasse_size,
     cyclic_hasse_oracle,
     grothendieck_rank,
     hasse_quiver,
@@ -118,6 +122,7 @@ def cmd_quiver(args) -> int:
     source = files.read_order_file(args.order)
     m = files.order_matrix(source)
     g = detect_gorenstein(m)
+    check_hasse_size(grothendieck_rank(g))  # before enumerating the summands
     quiver = hasse_quiver(tilting_poset(m, g))
     lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.arrows)}"]
     if args.dot:
@@ -127,7 +132,7 @@ def cmd_quiver(args) -> int:
         if source.kind != "cyclic":
             raise NotCyclicError("--oracle requires a cyclic order file")
         if cyclic_hasse_oracle(source.weights) != quiver:
-            raise DomainError("oracle and cover computation disagree")
+            raise RuntimeError("oracle and cover computation disagree")
         lines.append("oracle: ISOMORPHIC")
     print("\n".join(lines))  # after every write and check
     return 0
@@ -234,20 +239,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:
-        print(json.dumps(exc.to_json()), file=sys.stderr)
-        return 1
+        status, error = 1, exc.to_json()
     except InputFileError as exc:
-        print(
-            json.dumps({"code": "MalformedInput", "message": str(exc), "witness": None}),
-            file=sys.stderr,
-        )
-        return 2
+        status, error = 2, {"code": "MalformedInput", "message": str(exc)}
+    except Exception as exc:  # a defect or a resource failure, not a rejection
+        message = f"{type(exc).__name__}: {exc}"
+        status, error = 3, {"code": "Internal", "message": message}
+    error.setdefault("witness", None)
+    print(json.dumps(error), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

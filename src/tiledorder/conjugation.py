@@ -11,9 +11,8 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,8 @@ from .errors import (
     NotIntegralSumError,
 )
 from .gorenstein import GorensteinData
-from .orders import ExponentMatrix, Permutation, Rows, Vector, check_shift, freeze_rows
+from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
+from .orders import check_shift, freeze_rows
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     rows = freeze_rows(matrix)
@@ -48,7 +48,7 @@ def cycle_sum(matrix: Sequence[Sequence[int]], seq: Sequence[int]) -> int:
     return sum(rows[idx[k]][idx[(k + 1) % len(idx)]] for k in range(len(idx)))
 
 
-def _bellman_ford(rows: Rows) -> tuple[list[int], Optional[tuple[int, ...]]]:
+def _bellman_ford(rows: Rows) -> tuple[list[int], tuple[int, ...] | None]:
     """Shortest-path potentials from a virtual zero-weight source.
 
     Returns (dist, None) when no negative cycle exists, in which case
@@ -98,7 +98,7 @@ def _bellman_ford(rows: Rows) -> tuple[list[int], Optional[tuple[int, ...]]]:
 
 def find_negative_cycle(
     matrix: Sequence[Sequence[int]],
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """A directed cycle with negative sum, or None.  Singletons cover the diagonal."""
     return _bellman_ford(_square(matrix))[1]
 
@@ -159,8 +159,7 @@ def floor_profile(r: int, g: int, n: int) -> Vector:
     return tuple((i + 1) * r // g - i * r // g for i in range(n))
 
 
-@dataclass(frozen=True)
-class EquivariantData:
+class EquivariantData(Record):
     """A square integer matrix with permutation-equivariance data.
 
     The twist vector controls how the matrix changes along the permutation:
@@ -227,11 +226,9 @@ def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
     orbits are unchanged.
     """
     shift = check_shift(s, ed.n)
-    return replace(
-        ed,
-        matrix=conjugate_matrix(ed.matrix, shift),
-        twist=tuple(ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n)),
-    )
+    twist = tuple(ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n))
+    matrix = conjugate_matrix(ed.matrix, shift)
+    return EquivariantData(matrix, twist, ed.perm, ed.twist_avg, ed.orbits)
 
 
 def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantData:
@@ -291,8 +288,7 @@ def is_floor_aligned(ed: EquivariantData) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbitFold:
+class OrbitFold(Record):
     """Result of summing an equivariant matrix over permutation powers.
 
     summed(i,j) collects the g = period translates m(perm^k(i), perm^k(j));

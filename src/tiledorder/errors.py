@@ -7,15 +7,13 @@ emit machine-readable error objects.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class DomainError(Exception):
     """Input was rejected for a mathematical reason (CLI exit code 1)."""
 
     code = "DomainError"
 
-    def __init__(self, message: str, witness: Any = None):
+    def __init__(self, message: str, witness: object = None):
         super().__init__(message)
         self.witness = witness
 

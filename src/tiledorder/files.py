@@ -18,15 +18,13 @@ re-emitting a parsed file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
 
 from .conjugation import EquivariantData, equivariant_data
 from .errors import InputFileError
 from .gorenstein import cyclic_order
-from .orders import ExponentMatrix, Permutation, Vector
+from .orders import ExponentMatrix, Permutation, Record, Vector
 from .tilting import Quiver
 
 
@@ -48,19 +46,19 @@ def _as_int_matrix(value, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_as_int_vector(row, f"{what} row") for row in value)
 
 
-@dataclass(frozen=True)
-class OrderSource:
+class OrderSource(Record):
     """Parsed order file: an explicit matrix or a cyclic weight vector."""
 
     kind: str
-    matrix: Optional[tuple[tuple[int, ...], ...]] = None
-    weights: Optional[tuple[int, ...]] = None
+    matrix: tuple[tuple[int, ...], ...] | None = None
+    weights: tuple[int, ...] | None = None
 
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -119,7 +117,8 @@ def order_file_text(source: OrderSource) -> str:
 def write_text(path, text: str) -> None:
     """Write text to path; an unwritable path raises InputFileError."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputFileError(f"cannot write {path}: {exc}") from exc
 

@@ -11,21 +11,20 @@ rational and is invariant under conjugation by shift vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
 
 from .errors import (
     AmbiguousNakayamaError,
     NotGorensteinError,
     ZeroWeightsError,
 )
-from .orders import ExponentMatrix, Permutation, Vector, check_shift, freeze_vector
+from .orders import ExponentMatrix, Permutation, Record, Vector
+from .orders import check_shift, freeze_vector
 
 
-@dataclass(frozen=True)
-class GorensteinData:
+class GorensteinData(Record):
     """Permutation nu, the constants ell, the parameters p = 1 - ell, and their mean."""
 
     nu: Permutation
@@ -55,6 +54,13 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     Row u fits column i (m(u,j) + m(j,i) constant in j) exactly when its
     pattern (m(u,j) - m(u,0))_j equals the column's negated pattern (m(0,i) -
     m(j,i))_j, with ell_i = m(u,0) + m(0,i): one dict lookup per column.
+
+    The images form a bijection, so Permutation never raises here.  Once
+    every column fits exactly one row, two columns i != i' on one row differ
+    by a constant, so m(i,i') + m(i',i) = 0 and rows i and i' differ by a
+    constant too: neither row is hit.  So the columns indexed by the hit rows
+    sit alone on their rows and use up every hit row, leaving none for a
+    shared column.
     """
     fitting: dict[Vector, list[int]] = {}
     for u, row in enumerate(m.rows):
@@ -72,7 +78,7 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
                 witness=(i, list(candidates)),
             )
         images.append(candidates[0])
-    nu = Permutation(tuple(images))  # raises NotBijectiveError if degenerate
+    nu = Permutation(tuple(images))
     ell = tuple(m.rows[u][0] + m.rows[0][i] for i, u in enumerate(images))
     p = tuple(1 - e for e in ell)
     return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), m.n))

@@ -10,8 +10,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -25,6 +24,47 @@ Vector = tuple[int, ...]
 Rows = tuple[Vector, ...]
 
 
+class _RecordType(type):
+    """Makes a class's annotated names its __slots__, and their values defaults."""
+
+    def __new__(mcs, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        return super().__new__(mcs, name, bases, {**ns, "__slots__": fields})
+
+
+class Record(metaclass=_RecordType):
+    """Frozen record of the subclass's annotated fields, equal only within a class."""
+
+    def __init__(self, *args, **kwargs):
+        values = {**self._defaults, **dict(zip(self.__slots__, args)), **kwargs}
+        if len(args) > len(self.__slots__) or values.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+
 def freeze_vector(values: Iterable[int]) -> Vector:
     return tuple(operator.index(x) for x in values)
 
@@ -33,7 +73,7 @@ def freeze_rows(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(freeze_vector(row) for row in rows)
 
 
-def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
+def first_triangle_violation(rows: Rows) -> tuple[int, int, int] | None:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
     Rows are packed into ints, field k (w bits) of P_j holding m(j,k) - lo, lo
@@ -61,7 +101,7 @@ def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
 
 def _scan(
     rows: Iterable[Sequence[int]],
-) -> tuple[Rows, Optional[tuple[int, int, int]]]:
+) -> tuple[Rows, tuple[int, int, int] | None]:
     """The one structural scan: frozen rows and the first triangle violation.
 
     Raises NonSquareError / NonzeroDiagonalError on structural defects.
@@ -92,14 +132,13 @@ def _is_n_graded(rows: Rows) -> bool:
     return all(x >= 0 for row in rows for x in row)
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(Record):
     """Outcome of validating a candidate exponent matrix."""
 
     triangle_ok: bool
     basic: bool
     n_graded: bool
-    first_violation: Optional[tuple[int, int, int]] = None
+    first_violation: tuple[int, int, int] | None = None
 
     @property
     def fully_valid(self) -> bool:
@@ -122,8 +161,7 @@ def validate_order(rows: Iterable[Sequence[int]]) -> OrderReport:
     )
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(Record):
     """An exponent matrix: square, zero diagonal, triangle inequality.
 
     ``from_rows`` is the validating constructor.  The plain one checks nothing
@@ -165,19 +203,17 @@ class ExponentMatrix:
         return _is_n_graded(self.rows)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {0, ..., n-1}, stored by its tuple of images."""
 
     images: Vector
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+    def __init__(self, images: Vector):
+        if sorted(images) != list(range(len(images))):
             raise NotBijectiveError(
-                "images do not form a bijection of the index set",
-                witness=list(self.images),
+                "images do not form a bijection of the index set", witness=list(images)
             )
+        super().__init__(images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

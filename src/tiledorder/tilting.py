@@ -11,10 +11,9 @@ sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from itertools import groupby
 from operator import add
-from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,7 @@ from .errors import (
     TooLargeError,
 )
 from .gorenstein import GorensteinData, cyclic_order
-from .orders import ExponentMatrix, Vector, freeze_vector
+from .orders import ExponentMatrix, Record, Vector, freeze_vector
 
 # Largest poset hasse_quiver accepts.  Its bitsets take k * k / 8 bytes, about
 # 50 MB at this size.
@@ -113,8 +112,7 @@ def tilting_summands(
     return [(tuple(found[vec]), vec) for vec in order]
 
 
-@dataclass(frozen=True, eq=True)
-class TiltingPoset:
+class TiltingPoset(Record):
     """The tilting summand vectors under the componentwise order."""
 
     elements: tuple[Vector, ...]  # sorted lexicographically, zero first
@@ -129,17 +127,25 @@ def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
     return TiltingPoset(elements=elements, labels=labels)
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """A finite quiver: sorted vertices, sorted distinct arrows, else ValueError."""
 
     vertices: tuple
     arrows: tuple
 
-    def __post_init__(self):
-        ends = {v for arrow in self.arrows for v in arrow}
-        if len(set(self.arrows)) < len(self.arrows) or ends - set(self.vertices):
+    def __init__(self, vertices: tuple, arrows: tuple):
+        ends = {v for arrow in arrows for v in arrow}
+        if len(set(arrows)) < len(arrows) or ends - set(vertices):
             raise ValueError("arrows must be distinct pairs of vertices")
+        super().__init__(vertices, arrows)
+
+
+def check_hasse_size(k: int) -> None:
+    """Raise TooLargeError, witness k, for a poset of k > HASSE_LIMIT elements."""
+    if k > HASSE_LIMIT:
+        raise TooLargeError(
+            f"poset has {k} elements, exceeds Hasse limit {HASSE_LIMIT}", witness=k
+        )
 
 
 def hasse_quiver(poset: TiltingPoset) -> Quiver:
@@ -157,10 +163,7 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     """
     els = poset.elements
     k = len(els)
-    if k > HASSE_LIMIT:
-        raise TooLargeError(
-            f"poset has {k} elements, exceeds Hasse limit {HASSE_LIMIT}", witness=k
-        )
+    check_hasse_size(k)
     below = [-1] * k
     for column in zip(*els):
         mask = 0

@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+from tiledorder import Quiver, cli
 from tiledorder.cli import main
 
 from test_files import DOT_1111
@@ -90,6 +96,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert stderr_json(err)["code"] == "MalformedInput"
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")  # not UTF-8; not JSON in any encoding
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert only_stderr_json(err)["code"] == "MalformedInput"
 
 
 class TestGorenstein:
@@ -195,6 +209,19 @@ class TestQuiver:
         payload = stderr_json(err)
         assert payload["code"] == "TooLarge"
         assert payload["witness"] == 20001
+
+    def test_too_large_rejected_before_enumerating(self, tmp_path, capsys):
+        # k = 1 - sum(p) = 2 * 10**8 - 1 summands: far too many to build
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "cyclic", "weights": [100000000, 100000000]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quiver", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
+        assert payload["code"] == "TooLarge"
+        assert payload["witness"] == 199999999
 
 
 class TestNormalize:
@@ -346,3 +373,46 @@ class TestUnwritableOutput:
         assert payload["code"] == "MalformedInput"
         assert str(out) in payload["message"]
         assert not out.parent.exists()
+
+
+class TestInternalFailure:
+    def test_stage_exception_exit_3(self, unit_cyclic_file, capsys, monkeypatch):
+        def broken(m):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(cli, "detect_gorenstein", broken)
+        code, out, err = run(capsys, "gorenstein", str(unit_cyclic_file))
+        assert code == 3
+        assert out == ""
+        assert only_stderr_json(err) == {
+            "code": "Internal",
+            "message": "RuntimeError: stage failed",
+            "witness": None,
+        }
+
+    def test_oracle_disagreement_exit_3(self, unit_cyclic_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "cyclic_hasse_oracle", lambda w: Quiver(vertices=(), arrows=())
+        )
+        code, out, err = run(capsys, "quiver", str(unit_cyclic_file), "--oracle")
+        assert code == 3
+        assert out == ""
+        assert only_stderr_json(err) == {
+            "code": "Internal",
+            "message": "RuntimeError: oracle and cover computation disagree",
+            "witness": None,
+        }
+
+
+def test_import_path_skips_heavy_modules():
+    """`import tiledorder.cli` loads none of the modules slow to import."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tiledorder.cli; print(sorted(sys.modules))"
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = set(ast.literal_eval(res.stdout))
+    assert "tiledorder.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "pathlib"})

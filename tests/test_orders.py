@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,11 +11,14 @@ from tiledorder import (
     NonzeroDiagonalError,
     NotBijectiveError,
     Permutation,
+    Quiver,
     TriangleViolationError,
     cyclic_order,
+    detect_gorenstein,
     morita_shift,
     validate_order,
 )
+from tiledorder.files import OrderSource
 
 CYCLIC_1111 = (
     (0, 1, 2, 3),
@@ -169,6 +175,72 @@ class TestPermutation:
     def test_not_bijective(self):
         with pytest.raises(NotBijectiveError):
             Permutation((0, 0, 1))
+
+
+class TestRecord:
+    def test_equal_records_hash_equal(self):
+        pairs = [
+            (ExponentMatrix(CYCLIC_1111), ExponentMatrix.from_rows(CYCLIC_1111)),
+            (Permutation((1, 0)), Permutation(images=(1, 0))),
+            (cyclic_order((1, 2))[1], detect_gorenstein(cyclic_order((1, 2))[0])),
+            (validate_order(CYCLIC_1111), validate_order(list(CYCLIC_1111))),
+            (OrderSource("cyclic", None, (1,)), OrderSource("cyclic", weights=(1,))),
+        ]
+        for a, b in pairs:
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+        assert len(set(pairs[0])) == 1
+
+    def test_unequal_fields(self):
+        assert Permutation((1, 0)) != Permutation((0, 1))
+        assert OrderSource("cyclic", weights=(1,)) != OrderSource("cyclic", None, (2,))
+
+    def test_never_equal_to_a_tuple(self):
+        for record, fields in [
+            (ExponentMatrix(CYCLIC_1111), (CYCLIC_1111,)),
+            (Permutation((1, 0)), ((1, 0),)),
+            (OrderSource("matrix", CYCLIC_1111), ("matrix", CYCLIC_1111, None)),
+        ]:
+            assert record != fields and fields != record
+            assert not record == fields
+
+    def test_defaults_and_repr(self):
+        src = OrderSource(kind="matrix", matrix=((0,),))
+        assert src.weights is None
+        assert validate_order(((0,),)).first_violation is None
+        assert repr(Permutation((1, 0))) == "Permutation(images=(1, 0))"
+        assert repr(src) == "OrderSource(kind='matrix', matrix=((0,),), weights=None)"
+
+    def test_frozen(self):
+        m = ExponentMatrix(CYCLIC_1111)
+        with pytest.raises(AttributeError):
+            m.rows = ()
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert m.rows == CYCLIC_1111
+
+    def test_copy_and_pickle(self):
+        m, g = cyclic_order((1, 2))
+        for record in (m, g, OrderSource("cyclic", weights=(1, 2))):
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_constructor_arguments_checked(self):
+        with pytest.raises(TypeError):
+            ExponentMatrix()
+        with pytest.raises(TypeError):
+            ExponentMatrix(CYCLIC_1111, CYCLIC_1111)
+        with pytest.raises(TypeError):
+            OrderSource(kind="cyclic", weight=(1,))
+
+    def test_validating_constructors(self):
+        with pytest.raises(NotBijectiveError):
+            Permutation(images=(1, 1))
+        with pytest.raises(ValueError):
+            Quiver(vertices=((0,),), arrows=(((0,), (1,)),))
+        q = Quiver(((0,), (1,)), (((1,), (0,)),))
+        assert q == Quiver(vertices=((0,), (1,)), arrows=(((1,), (0,)),))
 
 
 class TestCyclicOrder:
