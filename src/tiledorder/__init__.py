@@ -49,7 +49,6 @@ from .conjugation import (
     floor_align,
     floor_profile,
     fold_orbits,
-    is_cycle_nonneg,
     is_floor_aligned,
     nonneg_conjugate,
     normalize_equivariant,

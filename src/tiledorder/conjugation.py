@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gorenstein import GorensteinData
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
-from .orders import check_shift, freeze_rows
+from .orders import check_shift, conjugate_rows, freeze_rows
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     rows = freeze_rows(matrix)
@@ -103,18 +103,9 @@ def find_negative_cycle(
     return _bellman_ford(_square(matrix))[1]
 
 
-def is_cycle_nonneg(matrix: Sequence[Sequence[int]]) -> bool:
-    """True when every directed cycle sum (diagonal included) is non-negative."""
-    return find_negative_cycle(matrix) is None
-
-
 def conjugate_matrix(matrix: Sequence[Sequence[int]], s: Sequence[int]) -> Rows:
     rows = _square(matrix)
-    shift = check_shift(s, len(rows))
-    n = len(rows)
-    return tuple(
-        tuple(rows[i][j] + shift[i] - shift[j] for j in range(n)) for i in range(n)
-    )
+    return conjugate_rows(rows, check_shift(s, len(rows)))
 
 
 def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
@@ -227,7 +218,7 @@ def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
     """
     shift = check_shift(s, ed.n)
     twist = tuple(ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n))
-    matrix = conjugate_matrix(ed.matrix, shift)
+    matrix = conjugate_rows(ed.matrix, shift)
     return EquivariantData(matrix, twist, ed.perm, ed.twist_avg, ed.orbits)
 
 

@@ -128,8 +128,12 @@ def _is_basic(rows: Rows) -> bool:
     return all(rows[i][j] + rows[j][i] > 0 for i in range(n) for j in range(i + 1, n))
 
 
-def _is_n_graded(rows: Rows) -> bool:
-    return all(x >= 0 for row in rows for x in row)
+def first_negative(rows: Rows) -> tuple[int, int] | None:
+    """First (i, j) with m(i,j) < 0 in row-major order, or None when N-graded."""
+    for i, row in enumerate(rows):
+        if min(row) < 0:
+            return i, next(j for j, x in enumerate(row) if x < 0)
+    return None
 
 
 class OrderReport(Record):
@@ -156,7 +160,7 @@ def validate_order(rows: Iterable[Sequence[int]]) -> OrderReport:
     return OrderReport(
         triangle_ok=violation is None,
         basic=_is_basic(frozen),
-        n_graded=_is_n_graded(frozen),
+        n_graded=first_negative(frozen) is None,
         first_violation=violation,
     )
 
@@ -200,7 +204,7 @@ class ExponentMatrix(Record):
 
     @property
     def is_n_graded(self) -> bool:
-        return _is_n_graded(self.rows)
+        return first_negative(self.rows) is None
 
 
 class Permutation(Record):
@@ -216,10 +220,6 @@ class Permutation(Record):
         super().__init__(images)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def cycle(cls, n: int) -> "Permutation":
         """The n-cycle i -> i+1 (mod n)."""
         return cls(tuple((i + 1) % n for i in range(n)))
@@ -230,13 +230,6 @@ class Permutation(Record):
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def power_images(self, k: int) -> Vector:
-        """Images of the k-th power (k >= 0)."""
-        out = list(range(self.n))
-        for _ in range(k):
-            out = [self.images[i] for i in out]
-        return tuple(out)
 
     def orbits(self) -> tuple[Vector, ...]:
         """Orbits, each listed from its smallest element following the permutation."""
@@ -264,6 +257,13 @@ def check_shift(s: Sequence[int], n: int) -> Vector:
     return shift
 
 
+def conjugate_rows(rows: Rows, shift: Vector) -> Rows:
+    """m(i,j) + s(i) - s(j) for frozen rows and a frozen shift of the same length."""
+    return tuple(
+        tuple(x + si - sj for x, sj in zip(row, shift)) for row, si in zip(rows, shift)
+    )
+
+
 def morita_shift(m: ExponentMatrix, s: Sequence[int]) -> ExponentMatrix:
     """Conjugate the exponent matrix: m'(i,j) = m(i,j) + s(i) - s(j).
 
@@ -272,10 +272,4 @@ def morita_shift(m: ExponentMatrix, s: Sequence[int]) -> ExponentMatrix:
     and each m(i,j) + m(j,i) is unchanged.  N-gradedness may change and should
     be re-checked by callers that rely on it.
     """
-    shift = check_shift(s, m.n)
-    return ExponentMatrix(
-        tuple(
-            tuple(x + si - sj for x, sj in zip(row, shift))
-            for row, si in zip(m.rows, shift)
-        )
-    )
+    return ExponentMatrix(conjugate_rows(m.rows, check_shift(s, m.n)))

@@ -22,6 +22,8 @@ from tiledorder.errors import (
 from tiledorder.gorenstein import GorensteinData
 from tiledorder.orders import ExponentMatrix, Permutation, Rows
 
+from helpers import power_images
+
 
 def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically."""
@@ -89,7 +91,7 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
         raise NotFloorTypeError("twist is not a rotation of its floor profile")
     n = ed.n
     g = ed.period
-    powers = [ed.perm.power_images(k) for k in range(g)]
+    powers = [power_images(ed.perm, k) for k in range(g)]
     summed = tuple(
         tuple(
             sum(ed.matrix[powers[k][i]][powers[k][j]] for k in range(g))

@@ -161,6 +161,19 @@ class TestTilting:
         assert payload["code"] == "NotNGraded"
         assert payload["witness"] == [2, 0]
 
+    def test_too_large_rejected_before_enumerating(self, tmp_path, capsys):
+        # k * n = 2 * (2 * 10**8 - 1) entries, far above TILTING_LIMIT
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "cyclic", "weights": [100000000, 100000000]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tilting", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
+        assert payload["code"] == "TooLarge"
+        assert payload["witness"] == 399999998
+
 
 class TestQuiver:
     def test_counts_and_dot(self, unit_cyclic_file, tmp_path, capsys):

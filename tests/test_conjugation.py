@@ -22,7 +22,6 @@ from tiledorder import (
     floor_align,
     floor_profile,
     fold_orbits,
-    is_cycle_nonneg,
     is_floor_aligned,
     nonneg_conjugate,
     normalize_equivariant,
@@ -42,6 +41,7 @@ from equivariant_templates import (
     two_orbit_data,
     two_orbit_order,
 )
+from helpers import identity, is_cycle_nonneg, power_images
 from test_gorenstein import relabeled_shifted_cyclic
 from test_orders import CYCLIC_1111, shifted_cyclic
 
@@ -339,7 +339,7 @@ class TestEquivariantData:
     def test_identity_perm_forces_constant_twist(self):
         # with perm = id the equivariance relation collapses to a(i) = a(j)
         with pytest.raises(EquivarianceViolationError):
-            equivariant_data(((0, 5), (5, 0)), (0, 1), Permutation.identity(2))
+            equivariant_data(((0, 5), (5, 0)), (0, 1), identity(2))
 
     def test_cross_orbit_averages_forced_equal(self):
         # full-matrix equivariance already pins every orbit average to the
@@ -351,7 +351,7 @@ class TestEquivariantData:
         assert [len(o) for o in ed.orbits] == [4, 6]
 
     def test_point(self):
-        ed = equivariant_data(((7,),), (3,), Permutation.identity(1))
+        ed = equivariant_data(((7,),), (3,), identity(1))
         assert ed.period == 1
 
     @given(
@@ -466,7 +466,7 @@ class TestFloorAlign:
 
 def assert_periodic(ed):
     """The matrix is invariant under perm^g, g = ed.period."""
-    power = ed.perm.power_images(ed.period)
+    power = power_images(ed.perm, ed.period)
     for i in range(ed.n):
         for j in range(ed.n):
             assert ed.matrix[power[i]][power[j]] == ed.matrix[i][j]
@@ -562,7 +562,7 @@ class TestNormalizeEquivariant:
         assert cycle_sum(ed.matrix, ei.value.witness) < 0
 
     def test_negative_diagonal_rejected(self):
-        ed = equivariant_data(((-2,),), (5,), Permutation.identity(1))
+        ed = equivariant_data(((-2,),), (5,), identity(1))
         with pytest.raises(NegativeCycleError) as ei:
             normalize_equivariant(ed)
         assert ei.value.witness == (0,)

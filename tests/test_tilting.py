@@ -28,6 +28,7 @@ from tiledorder import (
     tilting_summands,
     truncate_shift,
 )
+from tiledorder import tilting
 from tiledorder.tilting import HASSE_LIMIT
 
 from equivariant_templates import two_orbit_order
@@ -170,6 +171,25 @@ class TestSummands:
         assert ei.value.witness == (2, 0)
         with pytest.raises(NotNGradedError):
             tilting_poset(m, g)
+
+    def test_size_limit(self, monkeypatch):
+        # (1, 1, 1, 1) has k = 9 summands of length 4: 36 entries
+        monkeypatch.setattr(tilting, "TILTING_LIMIT", 36)
+        assert tilting_summands(M4, G4) == SUMMANDS_1111
+        monkeypatch.setattr(tilting, "TILTING_LIMIT", 35)
+        with pytest.raises(TooLargeError) as ei:
+            tilting_summands(M4, G4)
+        assert ei.value.witness == 36
+
+    def test_size_checked_after_parameters_before_grading(self, monkeypatch):
+        monkeypatch.setattr(tilting, "TILTING_LIMIT", 0)
+        with pytest.raises(PositiveParameterError):
+            tilting_summands(*cyclic_order((0, 0, 0, 1)))
+        # p = (0, -2, -7): k = 10 summands of length 3, but m(2,0) = -2 < 0
+        m = ExponentMatrix.from_rows([[0, 5, 8], [1, 0, 3], [-2, 3, 0]])
+        with pytest.raises(TooLargeError) as ei:
+            tilting_summands(m, detect_gorenstein(m))
+        assert ei.value.witness == 30
 
     @given(shifted_cyclic())
     def test_shifted_orders_need_n_grading(self, m):
