@@ -1,79 +1,108 @@
-"""Exact-integer computations with graded Gorenstein tiled orders."""
+"""Exact-integer computations with graded Gorenstein tiled orders.
 
-from types import ModuleType as _ModuleType
+The public names below are loaded lazily (PEP 562): ``import tiledorder``
+imports no submodule, and the first use of ``tiledorder.X`` imports the
+module that defines X and binds its X here, as an eager import would have.
+"""
 
-from .errors import (
-    AmbiguousNakayamaError,
-    DimensionMismatchError,
-    DomainError,
-    EquivarianceViolationError,
-    IndexOutOfRangeError,
-    InputFileError,
-    InvalidLatticeError,
-    NegativeCycleError,
-    NegativeDiagonalError,
-    NonSquareError,
-    NonzeroDiagonalError,
-    NotBijectiveError,
-    NotCyclicError,
-    NotFloorTypeError,
-    NotGorensteinError,
-    NotIntegralSumError,
-    NotNGradedError,
-    PositiveParameterError,
-    TooLargeError,
-    TriangleViolationError,
-    ZeroWeightsError,
-)
-from .orders import (
-    ExponentMatrix,
-    OrderReport,
-    Permutation,
-    morita_shift,
-    validate_order,
-)
-from .gorenstein import (
-    GorensteinData,
-    cyclic_order,
-    detect_gorenstein,
-    shifted_parameters,
-)
-from .conjugation import (
-    EquivariantData,
-    OrbitFold,
-    conjugate_data,
-    conjugate_matrix,
-    cycle_sum,
-    equivariant_data,
-    find_negative_cycle,
-    floor_align,
-    floor_profile,
-    fold_orbits,
-    is_floor_aligned,
-    nonneg_conjugate,
-    normalize_equivariant,
-    order_equivariant_data,
-)
-from .tilting import (
-    Quiver,
-    TiltingPoset,
-    cyclic_hasse_oracle,
-    endo_block_dim,
-    grothendieck_rank,
-    hasse_quiver,
-    hom_dim,
-    is_lattice_vector,
-    tilde_index_sets,
-    tilting_poset,
-    tilting_summands,
-    truncate_shift,
-)
+from importlib import import_module as _import_module
+
+# Each public name, in the order of __all__, with the submodule defining it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "AmbiguousNakayamaError",
+            "DimensionMismatchError",
+            "DomainError",
+            "EquivarianceViolationError",
+            "IndexOutOfRangeError",
+            "InputFileError",
+            "InvalidLatticeError",
+            "NegativeCycleError",
+            "NegativeDiagonalError",
+            "NonSquareError",
+            "NonzeroDiagonalError",
+            "NotBijectiveError",
+            "NotCyclicError",
+            "NotFloorTypeError",
+            "NotGorensteinError",
+            "NotIntegralSumError",
+            "NotNGradedError",
+            "PositiveParameterError",
+            "TooLargeError",
+            "TriangleViolationError",
+            "ZeroWeightsError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        (
+            "ExponentMatrix",
+            "OrderReport",
+            "Permutation",
+            "morita_shift",
+            "validate_order",
+        ),
+        "orders",
+    ),
+    **dict.fromkeys(
+        (
+            "GorensteinData",
+            "cyclic_order",
+            "detect_gorenstein",
+            "shifted_parameters",
+        ),
+        "gorenstein",
+    ),
+    **dict.fromkeys(
+        (
+            "EquivariantData",
+            "OrbitFold",
+            "conjugate_data",
+            "conjugate_matrix",
+            "cycle_sum",
+            "equivariant_data",
+            "find_negative_cycle",
+            "floor_align",
+            "floor_profile",
+            "fold_orbits",
+            "is_floor_aligned",
+            "nonneg_conjugate",
+            "normalize_equivariant",
+            "order_equivariant_data",
+        ),
+        "conjugation",
+    ),
+    **dict.fromkeys(
+        (
+            "Quiver",
+            "TiltingPoset",
+            "cyclic_hasse_oracle",
+            "endo_block_dim",
+            "grothendieck_rank",
+            "hasse_quiver",
+            "hom_dim",
+            "is_lattice_vector",
+            "tilde_index_sets",
+            "tilting_poset",
+            "tilting_summands",
+            "truncate_shift",
+        ),
+        "tilting",
+    ),
+}
 
 __version__ = "0.1.0"
+__all__ = [*_EXPORTS, "__version__"]
 
-# Everything imported above, without the submodules themselves.
-__all__ = [
-    name
-    for name, value in list(globals().items())
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["__version__"]
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,36 +7,27 @@ input files or flags, 3 for internal failures (any other exception, or
 ``quiver --oracle`` disagreeing with the cover computation) with one
 {"code": "Internal", "message": "<Type>: <text>", "witness": null} object on
 stderr.  All output is deterministic.
+
+A run imports only what its subcommand uses: each ``cmd_*`` imports from the
+modules that define its functions when it runs.  The grammar is stated once,
+in ``COMMANDS``.  ``_scan`` reads the canonical argv forms straight from it;
+every other argv (help, abbreviations, ``--flag=value``, ``--``, repeated
+options, missing or bad values) goes to the argparse parser that
+``build_parser`` makes from the same table, so argparse is loaded only to
+print help or a usage error, and those texts are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from collections.abc import Sequence
 
 from . import files
-from .conjugation import (
-    conjugate_data,
-    normalize_equivariant,
-    order_equivariant_data,
-)
 from .errors import (
     DomainError,
     InputFileError,
     NotCyclicError,
     TriangleViolationError,
-)
-from .gorenstein import cyclic_order, detect_gorenstein, shifted_parameters
-from .orders import morita_shift, validate_order
-from .tilting import (
-    check_hasse_size,
-    cyclic_hasse_oracle,
-    grothendieck_rank,
-    hasse_quiver,
-    tilting_poset,
-    tilting_summands,
 )
 
 
@@ -49,6 +40,8 @@ def _vector_str(v) -> str:
 
 
 def cmd_validate(args) -> int:
+    from .orders import validate_order
+
     source = files.read_order_file(args.order)
     if source.kind == "cyclic":
         rows = files.order_matrix(source).rows  # construction cannot be invalid
@@ -74,6 +67,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gorenstein(args) -> int:
+    from .gorenstein import detect_gorenstein
+
     m = files.order_matrix(files.read_order_file(args.order))
     g = detect_gorenstein(m)
     print(f"nu: {_vector_str(g.nu.images)}")
@@ -84,6 +79,10 @@ def cmd_gorenstein(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .conjugation import normalize_equivariant, order_equivariant_data
+    from .gorenstein import detect_gorenstein, shifted_parameters
+    from .orders import morita_shift
+
     m = files.order_matrix(files.read_order_file(args.order))
     g = detect_gorenstein(m)
     # normalize_equivariant's postconditions on (m^T, -p, nu) conjugated by s
@@ -108,6 +107,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_tilting(args) -> int:
+    from .gorenstein import detect_gorenstein
+    from .tilting import grothendieck_rank, tilting_summands
+
     m = files.order_matrix(files.read_order_file(args.order))
     g = detect_gorenstein(m)
     summands = tilting_summands(m, g)
@@ -119,6 +121,15 @@ def cmd_tilting(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from .gorenstein import detect_gorenstein
+    from .tilting import (
+        check_hasse_size,
+        cyclic_hasse_oracle,
+        grothendieck_rank,
+        hasse_quiver,
+        tilting_poset,
+    )
+
     source = files.read_order_file(args.order)
     m = files.order_matrix(source)
     g = detect_gorenstein(m)
@@ -147,6 +158,8 @@ def cmd_mdata_check(args) -> int:
 
 
 def cmd_mdata_normalize(args) -> int:
+    from .conjugation import conjugate_data, normalize_equivariant
+
     ed = files.read_equivariant_file(args.mdata)
     s = normalize_equivariant(ed)
     out = conjugate_data(ed, s)
@@ -161,18 +174,22 @@ def cmd_mdata_normalize(args) -> int:
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
+    """The --weights converter: comma-separated non-negative integers."""
     try:
         weights = tuple(int(part) for part in text.split(","))
+        problem = "weights must be non-negative" if any(x < 0 for x in weights) else None
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "weights must be comma-separated integers"
-        ) from None
-    if any(x < 0 for x in weights):
-        raise argparse.ArgumentTypeError("weights must be non-negative")
+        problem = "weights must be comma-separated integers"
+    if problem:
+        import argparse  # a bad value is a usage error, which argparse prints
+
+        raise argparse.ArgumentTypeError(problem)
     return weights
 
 
 def cmd_cyclic(args) -> int:
+    from .gorenstein import cyclic_order
+
     cyclic_order(args.weights)  # reject all-zero weights before emitting
     source = files.OrderSource(kind="cyclic", weights=args.weights)
     text = files.order_file_text(source)
@@ -184,64 +201,132 @@ def cmd_cyclic(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The grammar, for the scanner and argparse alike: command -> (function,
+# help, positional dest or None, options).  Each option maps its flag to the
+# keywords of add_argument: "store_true" options take no value, the others
+# take one, converted by "type" if given.
+COMMANDS = {
+    "validate": (cmd_validate, "validate an order file", "order", {}),
+    "gorenstein": (cmd_gorenstein, "detect the Gorenstein structure", "order", {}),
+    "normalize": (
+        cmd_normalize,
+        "conjugate into non-negative, almost-constant form",
+        "order",
+        {"--emit": {"metavar": "PATH", "help": "write the shifted order file"}},
+    ),
+    "tilting": (cmd_tilting, "list tilting summands and the rank", "order", {}),
+    "quiver": (
+        cmd_quiver,
+        "Hasse quiver of the tilting poset",
+        "order",
+        {
+            "--dot": {"metavar": "PATH", "help": "write DOT text"},
+            "--oracle": {
+                "action": "store_true",
+                "help": "cross-check against the cyclic line description "
+                "(cyclic input only)",
+            },
+        },
+    ),
+    "mdata-check": (
+        cmd_mdata_check, "validate an equivariant-data file", "mdata", {}
+    ),
+    "mdata-normalize": (
+        cmd_mdata_normalize,
+        "normalize an equivariant-data file",
+        "mdata",
+        {"--emit": {"metavar": "PATH", "help": "write the conjugated data"}},
+    ),
+    "cyclic": (
+        cmd_cyclic,
+        "emit a cyclic order file",
+        None,
+        {
+            "--weights": {"type": _parse_weights, "required": True},
+            "--emit": {"metavar": "PATH", "help": "write the order file"},
+        },
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS: the help, usage-error and test oracle path."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tiledorder",
         description="Exact-integer computations with graded tiled orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an order file")
-    p.add_argument("order")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("gorenstein", help="detect the Gorenstein structure")
-    p.add_argument("order")
-    p.set_defaults(func=cmd_gorenstein)
-
-    p = sub.add_parser(
-        "normalize", help="conjugate into non-negative, almost-constant form"
-    )
-    p.add_argument("order")
-    p.add_argument("--emit", metavar="PATH", help="write the shifted order file")
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("tilting", help="list tilting summands and the rank")
-    p.add_argument("order")
-    p.set_defaults(func=cmd_tilting)
-
-    p = sub.add_parser("quiver", help="Hasse quiver of the tilting poset")
-    p.add_argument("order")
-    p.add_argument("--dot", metavar="PATH", help="write DOT text")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against the cyclic line description (cyclic input only)",
-    )
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("mdata-check", help="validate an equivariant-data file")
-    p.add_argument("mdata")
-    p.set_defaults(func=cmd_mdata_check)
-
-    p = sub.add_parser(
-        "mdata-normalize", help="normalize an equivariant-data file"
-    )
-    p.add_argument("mdata")
-    p.add_argument("--emit", metavar="PATH", help="write the conjugated data")
-    p.set_defaults(func=cmd_mdata_normalize)
-
-    p = sub.add_parser("cyclic", help="emit a cyclic order file")
-    p.add_argument("--weights", type=_parse_weights, required=True)
-    p.add_argument("--emit", metavar="PATH", help="write the order file")
-    p.set_defaults(func=cmd_cyclic)
-
+    for command, (func, help_, positional, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if positional is not None:
+            p.add_argument(positional)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _scan(argv: list[str]) -> dict | None:
+    """vars() of argparse's result when argv is a canonical form, else None.
+
+    Canonical: a command, then its positional and each of its options at
+    most once, in any order, every option as its exact flag with the value
+    (if it takes one) in the next token.  A token that starts with "-" and
+    is not an exact flag, a value that starts with "-" or fails its
+    converter, a repeated option and a missing argument all give None.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positional, options = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    for flag, keywords in options.items():
+        values[flag[2:]] = False if keywords.get("action") == "store_true" else None
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if positional is None or positional in values:
+                return None
+            values[positional] = token
+            continue
+        keywords = options.get(token)
+        if keywords is None or token in seen:
+            return None
+        seen.add(token)
+        if keywords.get("action") == "store_true":
+            values[token[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        convert = keywords.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # argparse reruns it and reports or raises the same
+                return None
+        values[token[2:]] = value
+    if positional is not None and positional not in values:
+        return None
+    if any(k.get("required") and f not in seen for f, k in options.items()):
+        return None
+    return values
+
+
+def parse_args(argv: list[str]):
+    """Parse argv; argparse is imported only for help and usage errors."""
+    values = _scan(argv)
+    if values is None:
+        return build_parser().parse_args(argv)  # prints and exits for those
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**values)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DomainError as exc:

@@ -23,7 +23,6 @@ from .errors import (
     NotFloorTypeError,
     NotIntegralSumError,
 )
-from .gorenstein import GorensteinData
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
 from .orders import check_shift, conjugate_rows, freeze_rows
 

@@ -12,20 +12,24 @@ permutation images:
     {"m": [[...], ...], "a": [...], "nu": [...]}
 
 Emission is canonical (fixed key order, one matrix row per line) so that
-re-emitting a parsed file reproduces it byte for byte.
+re-emitting a parsed file reproduces it byte for byte.  A file whose n (rows
+of "m", or weights) exceeds FILE_LIMIT is refused with TooLargeError before
+anything is built from it.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .conjugation import EquivariantData, equivariant_data
-from .errors import InputFileError
-from .gorenstein import cyclic_order
+from .errors import InputFileError, TooLargeError
 from .orders import ExponentMatrix, Permutation, Record, Vector
-from .tilting import Quiver
+
+# Largest n an order or equivariant-data file may have.  The slowest input
+# of that size known, a descending chain (m(i+1,i) = -1, other entries n)
+# through `tiledorder mdata-normalize`, needs about n Bellman-Ford passes,
+# O(n^3) in all: about 2 s at this size, 9.5 s at n = 400.
+FILE_LIMIT = 256
 
 
 def _as_int(value, what: str) -> int:
@@ -54,6 +58,15 @@ class OrderSource(Record):
     weights: tuple[int, ...] | None = None
 
 
+def _check_size(value) -> None:
+    """TooLargeError, witness n, for a list of more than FILE_LIMIT rows or weights."""
+    if isinstance(value, list) and len(value) > FILE_LIMIT:
+        raise TooLargeError(
+            f"file has n = {len(value)}, exceeds the file limit {FILE_LIMIT}",
+            witness=len(value),
+        )
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -75,6 +88,7 @@ def read_order_file(path) -> OrderSource:
     if kind == "matrix":
         if "m" not in data:
             raise InputFileError('kind "matrix" requires field "m"')
+        _check_size(data["m"])
         matrix = _as_int_matrix(data["m"], '"m"')
         if any(len(row) != len(matrix) for row in matrix):
             raise InputFileError('"m" must be square')
@@ -82,6 +96,7 @@ def read_order_file(path) -> OrderSource:
     if kind == "cyclic":
         if "weights" not in data:
             raise InputFileError('kind "cyclic" requires field "weights"')
+        _check_size(data["weights"])
         weights = _as_int_vector(data["weights"], '"weights"')
         if any(x < 0 for x in weights):
             raise InputFileError('"weights" must be non-negative')
@@ -92,6 +107,8 @@ def read_order_file(path) -> OrderSource:
 def order_matrix(source: OrderSource) -> ExponentMatrix:
     """The exponent matrix of a parsed order file (may raise DomainError)."""
     if source.kind == "cyclic":
+        from .gorenstein import cyclic_order
+
         m, _ = cyclic_order(source.weights)
         return m
     return ExponentMatrix.from_rows(source.matrix)
@@ -129,10 +146,13 @@ def write_order_file(path, source: OrderSource) -> None:
 
 def read_equivariant_file(path) -> EquivariantData:
     """Parse and validate an equivariant-data file (schema errors -> InputFileError)."""
+    from .conjugation import equivariant_data
+
     data = _load_json(path)
     for field in ("m", "a", "nu"):
         if field not in data:
             raise InputFileError(f'missing field "{field}"')
+    _check_size(data["m"])
     matrix = _as_int_matrix(data["m"], '"m"')
     twist = _as_int_vector(data["a"], '"a"')
     images = _as_int_vector(data["nu"], '"nu"')

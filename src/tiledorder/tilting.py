@@ -51,7 +51,9 @@ def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
 
 
 def _truncate(vec: Vector, j: int) -> Vector:
-    return tuple(max(x - j, 0) for x in vec)
+    # max(x - j, 0) for every x; a list comprehension with no max call is
+    # the cheapest form, and _truncate runs once per tilting summand.
+    return tuple([x - j if x > j else 0 for x in vec])
 
 
 def truncate_shift(v: Sequence[int], j: int) -> Vector:

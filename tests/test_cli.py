@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +10,7 @@ import time
 
 import pytest
 
-from tiledorder import Quiver, cli
+from tiledorder import Quiver, cli, files, gorenstein, tilting
 from tiledorder.cli import main
 
 from test_files import DOT_1111
@@ -393,7 +396,7 @@ class TestInternalFailure:
         def broken(m):
             raise RuntimeError("stage failed")
 
-        monkeypatch.setattr(cli, "detect_gorenstein", broken)
+        monkeypatch.setattr(gorenstein, "detect_gorenstein", broken)
         code, out, err = run(capsys, "gorenstein", str(unit_cyclic_file))
         assert code == 3
         assert out == ""
@@ -405,7 +408,7 @@ class TestInternalFailure:
 
     def test_oracle_disagreement_exit_3(self, unit_cyclic_file, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "cyclic_hasse_oracle", lambda w: Quiver(vertices=(), arrows=())
+            tilting, "cyclic_hasse_oracle", lambda w: Quiver(vertices=(), arrows=())
         )
         code, out, err = run(capsys, "quiver", str(unit_cyclic_file), "--oracle")
         assert code == 3
@@ -415,6 +418,84 @@ class TestInternalFailure:
             "message": "RuntimeError: oracle and cover computation disagree",
             "witness": None,
         }
+
+
+class TestFileLimit:
+    """Files above files.FILE_LIMIT are refused before anything is built."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("validate", {"kind": "matrix", "m": [[(j - i) % 4 for j in range(4)]
+                                                  for i in range(4)]}),
+            ("gorenstein", {"kind": "cyclic", "weights": [1, 1, 1, 1]}),
+            ("mdata-check", {"m": [[0] * 4] * 4, "a": [0] * 4, "nu": [0, 1, 2, 3]}),
+        ],
+        ids=["matrix", "cyclic", "mdata"],
+    )
+    def test_too_large(self, tmp_path, capsys, monkeypatch, command, text):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(text))
+        monkeypatch.setattr(files, "FILE_LIMIT", 4)
+        code, _, _ = run(capsys, command, str(path))
+        assert code == 0
+        monkeypatch.setattr(files, "FILE_LIMIT", 3)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        payload = only_stderr_json(err)
+        assert payload["code"] == "TooLarge"
+        assert payload["witness"] == 4
+
+
+# Canonical argv, each with what its run must not import.  Files are written
+# by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
+NEVER = {"argparse", "dataclasses", "typing", "inspect", "pathlib"}
+CANONICAL = {
+    "validate-matrix": (
+        ["validate", "m.json"],
+        {"tiledorder.gorenstein", "tiledorder.conjugation", "tiledorder.tilting", "fractions"},
+    ),
+    "validate-cyclic": (["validate", "w.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
+    "gorenstein": (["gorenstein", "m.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
+    "normalize": (["normalize", "w.json", "--emit", "out.json"], {"tiledorder.tilting"}),
+    "tilting": (["tilting", "w.json"], {"tiledorder.conjugation"}),
+    "quiver": (["quiver", "--oracle", "w.json", "--dot", "out.dot"], {"tiledorder.conjugation"}),
+    "mdata-check": (["mdata-check", "md.json"], {"tiledorder.tilting", "tiledorder.gorenstein"}),
+    "mdata-normalize": (
+        ["mdata-normalize", "md.json", "--emit", "out.json"],
+        {"tiledorder.tilting", "tiledorder.gorenstein"},
+    ),
+    "cyclic": (
+        ["cyclic", "--weights", "1,1,1,1"], {"tiledorder.conjugation", "tiledorder.tilting"}
+    ),
+    "cyclic-emit": (["cyclic", "--emit", "out.json", "--weights", "2,0"], {"tiledorder.tilting"}),
+}
+
+
+def loaded_modules(tmp_path, argv):
+    """Exit status and sys.modules after `tiledorder <argv>` in a fresh `python -S`."""
+    (tmp_path / "w.json").write_text('{"kind": "cyclic", "weights": [1, 1, 1, 1]}')
+    (tmp_path / "m.json").write_text('{"kind": "matrix", "m": [[0, 1], [1, 0]]}')
+    (tmp_path / "md.json").write_text('{"m": [[0, 2], [2, 0]], "a": [1, 1], "nu": [1, 0]}')
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from tiledorder.cli import main\n"
+        "try:\n"
+        "    status = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(repr((status, sorted(sys.modules))))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    status, loaded = ast.literal_eval(res.stdout.splitlines()[-1])
+    return status, set(loaded)
 
 
 def test_import_path_skips_heavy_modules():
@@ -428,4 +509,61 @@ def test_import_path_skips_heavy_modules():
     assert res.returncode == 0, res.stderr
     loaded = set(ast.literal_eval(res.stdout))
     assert "tiledorder.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "pathlib"})
+    assert loaded.isdisjoint(NEVER | {"fractions"})
+    assert {m for m in loaded if m.startswith("tiledorder.")} == {
+        "tiledorder.cli", "tiledorder.files", "tiledorder.orders", "tiledorder.errors"
+    }
+
+
+@pytest.mark.parametrize("argv, absent", CANONICAL.values(), ids=CANONICAL)
+def test_command_import_path(tmp_path, argv, absent):
+    """A canonical run imports neither argparse nor what its command does not use."""
+    status, loaded = loaded_modules(tmp_path, argv)
+    assert status == 0
+    assert loaded.isdisjoint(NEVER | absent), loaded & (NEVER | absent)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["validate", "-h"], ["validate", "m.json", "--bogus"]],
+    ids=["help", "command-help", "bad-flag"],
+)
+def test_help_and_usage_errors_load_argparse(tmp_path, argv):
+    status, loaded = loaded_modules(tmp_path, argv)
+    assert status in (0, 2)
+    assert "argparse" in loaded
+
+
+def test_scanner_accepts_canonical_forms():
+    for argv, _ in CANONICAL.values():
+        assert cli._scan(argv) is not None, argv
+
+
+# Tokens for the scanner's differential test: values, every flag, and forms
+# only argparse may read (abbreviations, "=", "--", "-", negative numbers,
+# the empty string, help, bad weights).  Repeats come from the combinations.
+TOKENS = [
+    "f", "", "1,2", "1,x", "-1", "-", "--", "-h",
+    "--emit", "--emit=x", "--em", "--dot", "--oracle", "--weights", "validate",
+]
+
+
+def test_scanner_agrees_with_argparse():
+    """Whenever the scanner accepts an argv, argparse accepts it with equal vars()."""
+    parser = cli.build_parser()
+    accepted = set()
+    for command in cli.COMMANDS:
+        for k in range(4):
+            for tail in itertools.product(TOKENS, repeat=k):
+                argv = [command, *tail]
+                values = cli._scan(argv)
+                if values is None:
+                    continue
+                accepted.add(command)
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    try:
+                        expected = vars(parser.parse_args(argv))
+                    except SystemExit:
+                        pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+                assert values == expected, argv
+    assert accepted == set(cli.COMMANDS)

@@ -123,6 +123,18 @@ class TestLatticeVectors:
         assert truncate_shift((3, 0, 1, 2), 3) == (0, 0, 0, 0)
         assert truncate_shift((3, 0, 1, 2), 0) == (3, 0, 1, 2)
 
+    def test_truncate_shift_is_the_literal_max(self):
+        # the comparison form must equal max(x - j, 0) for every int,
+        # negative entries and shifts and huge values included
+        rng = random.Random(8)
+        for _ in range(2000):
+            scale = rng.choice((3, 10**30))
+            v = tuple(rng.randint(-scale, scale) for _ in range(rng.randint(1, 6)))
+            j = rng.choice((rng.randint(-scale, scale), rng.choice(v)))
+            out = truncate_shift(v, j)
+            assert out == tuple(max(x - j, 0) for x in v)
+            assert all(type(x) is int for x in out)
+
 
 class TestHomDim:
     def test_reflexive_at_zero(self):
