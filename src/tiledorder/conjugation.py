@@ -11,8 +11,10 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import accumulate, compress, count, repeat
 
 from .errors import (
     DimensionMismatchError,
@@ -193,14 +195,16 @@ def equivariant_data(
         raise DimensionMismatchError(
             f"permutation acts on {perm.n} indices, matrix has {n}"
         )
-    for i, (row, moved) in enumerate(zip(rows, [rows[k] for k in perm.images])):
-        for j, (x, t, k) in enumerate(zip(row, tw, perm.images)):
-            if moved[k] != x - tw[i] + t:
-                raise EquivarianceViolationError(
-                    f"matrix(perm({i}), perm({j})) != matrix({i},{j}) "
-                    f"- twist({i}) + twist({j})",
-                    witness=(i, j),
-                )
+    for i, (row, moved) in enumerate(zip(rows, map(rows.__getitem__, perm.images))):
+        expected = map(operator.add, map(operator.sub, row, repeat(tw[i])), tw)
+        differs = map(operator.ne, map(moved.__getitem__, perm.images), expected)
+        j = next(compress(count(), differs), None)
+        if j is not None:
+            raise EquivarianceViolationError(
+                f"matrix(perm({i}), perm({j})) != matrix({i},{j}) "
+                f"- twist({i}) + twist({j})",
+                witness=(i, j),
+            )
     orbits = perm.orbits()
     avg = Fraction(sum(tw[i] for i in orbits[0]), len(orbits[0]))
     return EquivariantData(
@@ -216,9 +220,15 @@ def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
     orbits are unchanged.
     """
     shift = check_shift(s, ed.n)
-    twist = tuple(ed.twist[i] + shift[i] - shift[ed.perm(i)] for i in range(ed.n))
+    twist = _conjugate_twist(ed, shift)
     matrix = conjugate_rows(ed.matrix, shift)
     return EquivariantData(matrix, twist, ed.perm, ed.twist_avg, ed.orbits)
+
+
+def _conjugate_twist(ed: EquivariantData, shift: Vector) -> Vector:
+    """The twist after conjugating by a frozen shift: a(i) + s(i) - s(perm i)."""
+    moved = map(shift.__getitem__, ed.perm.images)
+    return tuple(map(operator.sub, map(operator.add, ed.twist, shift), moved))
 
 
 def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantData:
@@ -292,6 +302,52 @@ class OrbitFold(Record):
     orbit_of: Vector
 
 
+def _fold_shift(twist: Vector, orbits: tuple[Vector, ...], g: int) -> list[int]:
+    """c = -B, B(i) = sum_{k<g} A_k(i), A_k(i) = sum_{t<k} twist(perm^t i).
+
+    The fold of equivariant data with this twist is g * m(i,j) + c(i) - c(j)
+    (see fold_orbits).  Along an orbit from its base point, with P the prefix
+    sums of the twist and Q those of P, A_k at position pos is P[pos + k] -
+    P[pos], so B is Q[pos + g] - Q[pos] - g * P[pos]: O(n), as g divides
+    every orbit length and one extra lap of g terms covers the wrap.
+    """
+    c = [0] * len(twist)
+    for orbit in orbits:
+        lap = list(map(twist.__getitem__, orbit))
+        p = list(accumulate(lap + lap[:g], initial=0))
+        q = list(accumulate(p, initial=0))
+        span = len(orbit)
+        b = map(operator.sub, q[g : g + span], q[:span])
+        for i, bi, pi in zip(orbit, b, p):
+            c[i] = g * pi - bi
+    return c
+
+
+def _fold_rows(matrix: Rows, c: Sequence[int], g: int) -> Iterator[Vector]:
+    """The rows g * m(i,j) + c(i) - c(j) of the fold, one at a time."""
+    for row, ci in zip(matrix, c):
+        scaled = map(operator.mul, row, repeat(g))
+        yield tuple(map(operator.sub, map(operator.add, scaled, repeat(ci)), c))
+
+
+def _block_min(rows: Iterable[Vector], orbits: tuple[Vector, ...]) -> Rows:
+    """Orbit-by-orbit minima of rows given in index order, in one pass."""
+    best: list[list[int] | None] = [None] * len(orbits)
+    for x, row in zip(_orbit_of(orbits), rows):
+        mins = [min(map(row.__getitem__, oy)) for oy in orbits]
+        best[x] = mins if best[x] is None else list(map(min, best[x], mins))
+    return tuple(map(tuple, best))
+
+
+def _orbit_of(orbits: tuple[Vector, ...]) -> list[int]:
+    """Position in orbits of the orbit holding each index."""
+    orbit_of = [0] * sum(map(len, orbits))
+    for x, orbit in enumerate(orbits):
+        for i in orbit:
+            orbit_of[i] = x
+    return orbit_of
+
+
 def fold_orbits(ed: EquivariantData) -> OrbitFold:
     """Fold floor-aligned data over perm powers and minimize over orbit blocks.
 
@@ -306,58 +362,62 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
     if not is_floor_aligned(ed):
         raise NotFloorTypeError("twist is not a rotation of its floor profile")
     g = ed.period
-    b = [0] * ed.n
-    walk = range(ed.n)  # perm^t i; B(i) = sum_{t<g} (g-1-t) twist(perm^t i)
-    for weight in range(g - 1, 0, -1):
-        b = [bi + weight * ed.twist[v] for bi, v in zip(b, walk)]
-        walk = [ed.perm.images[v] for v in walk]
-    summed = tuple(
-        tuple(g * x - bi + bj for x, bj in zip(row, b)) for row, bi in zip(ed.matrix, b)
-    )
-    orbit_of = [0] * ed.n
-    for x, orbit in enumerate(ed.orbits):
-        for i in orbit:
-            orbit_of[i] = x
-    block_min = tuple(
-        tuple(
-            min(summed[i][j] for i in ox for j in oy)
-            for oy in ed.orbits
-        )
-        for ox in ed.orbits
-    )
+    c = _fold_shift(ed.twist, ed.orbits, g)
+    summed = tuple(_fold_rows(ed.matrix, c, g))
     return OrbitFold(
-        period=g, summed=summed, block_min=block_min, orbit_of=tuple(orbit_of)
+        period=g,
+        summed=summed,
+        block_min=_block_min(summed, ed.orbits),
+        orbit_of=tuple(_orbit_of(ed.orbits)),
     )
 
 
 def normalize_equivariant(ed: EquivariantData) -> Vector:
     """Total shift conjugating the data into normalized position.
 
-    Pipeline: floor-align, fold orbits, find a non-negative conjugate sbar of
-    the folded block minima, and lift it back through the floor
-    identification.  Requires every cycle sum of the matrix to be
-    non-negative (NegativeCycleError with a witness on the original indices
-    otherwise; a negative diagonal entry appears as a singleton cycle).
+    Pipeline: floor-align by s1, take the orbit-block minima of the fold of
+    the aligned data, find a non-negative conjugate sbar of those minima, and
+    lift it back through the floor identification.  Requires every cycle sum
+    of the matrix to be non-negative (NegativeCycleError with a witness on
+    the original indices otherwise; a negative diagonal entry appears as a
+    singleton cycle).
+
+    The aligned data are never built.  Conjugating by s1 turns the twist
+    into the floor profile of each orbit from its base point, so the fold of
+    the aligned data is g * m(i,j) + c(i) - c(j) with c = g * s1 - B, B
+    computed from the aligned twist, and only its block minima are kept: one
+    pass over m.
+
+    Bellman-Ford on the r x r block minima (r orbits) decides the cycle test
+    for m itself: the block minima have a negative cycle if and only if m
+    has one.  A negative cycle of m, folded, is a cycle of g times its sum,
+    and the block minima are no larger along the cycle of its orbits.
+    Conversely the folded matrix is invariant under perm (fold_orbits) and
+    its cycle sums are g times those of m: each edge x -> y of a negative
+    quotient cycle is attained at some (i, j), the translate of the next
+    edge by the power of perm that maps its start to j chains onto it, and
+    after at most L rounds (L the order of perm) the walk closes, a closed
+    walk of negative sum.  Only then is m searched for the witness.
 
     The output needs no check: with r/g = twist_avg (reduced) and a(i) =
     pos * r - sbar(x) for i at position pos of orbit x, its twist at i is
     floor((a(i) + r)/g) - floor(a(i)/g), a rotation of the floor profile as
     r is prime to g: floor-aligned and within 1 of r/g.  As sum_{k<g}
-    floor((a + k * r)/g) = a + (r - 1)(g - 1)/2, its fold is fold.summed(i,j)
-    + sbar(x) - sbar(y) >= 0, and g * m'(i,j) is that plus (a(i) mod g) -
+    floor((a + k * r)/g) = a + (r - 1)(g - 1)/2, its fold is summed(i,j) +
+    sbar(x) - sbar(y) >= 0, and g * m'(i,j) is that plus (a(i) mod g) -
     (a(j) mod g) > -g, so the matrix m' is entrywise non-negative.
     """
-    witness = find_negative_cycle(ed.matrix)
-    if witness is not None:
+    g = ed.period
+    s1 = floor_align(ed)
+    minus_b = _fold_shift(_conjugate_twist(ed, s1), ed.orbits, g)
+    c = [g * si + ci for si, ci in zip(s1, minus_b)]
+    sbar, cycle = _bellman_ford(_block_min(_fold_rows(ed.matrix, c, g), ed.orbits))
+    if cycle is not None:
+        witness = find_negative_cycle(ed.matrix)
         raise NegativeCycleError(
             f"matrix has negative cycle {witness}", witness=witness
         )
-    s1 = floor_align(ed)
-    aligned = conjugate_data(ed, s1)
-    fold = fold_orbits(aligned)
-    sbar = nonneg_conjugate(fold.block_min)
     r = ed.twist_avg.numerator
-    g = ed.twist_avg.denominator
     s2 = [0] * ed.n
     for x, orbit in enumerate(ed.orbits):
         for pos, i in enumerate(orbit):

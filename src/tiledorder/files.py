@@ -27,8 +27,9 @@ from .orders import ExponentMatrix, Permutation, Record, Vector
 
 # Largest n an order or equivariant-data file may have.  The slowest input
 # of that size known, a descending chain (m(i+1,i) = -1, other entries n)
-# through `tiledorder mdata-normalize`, needs about n Bellman-Ford passes,
-# O(n^3) in all: about 2 s at this size, 9.5 s at n = 400.
+# through `tiledorder mdata-normalize`, runs one Bellman-Ford of about n
+# passes, O(n^3) in all: about 1 s at this size, 2 s at n = 300 and 5 s at
+# n = 400 (Python 3.11, one CPU of a shared 2-vCPU Linux host).
 FILE_LIMIT = 256
 
 
@@ -77,6 +78,8 @@ def _load_json(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the stack
+        raise InputFileError(f"{path} nests too deeply to parse: {exc}") from exc
     if not isinstance(data, dict):
         raise InputFileError(f"{path} must hold a JSON object")
     return data

@@ -11,9 +11,10 @@ rational and is invariant under conjugation by shift vectors.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import (
     AmbiguousNakayamaError,
@@ -64,10 +65,11 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     """
     fitting: dict[Vector, list[int]] = {}
     for u, row in enumerate(m.rows):
-        fitting.setdefault(tuple(x - row[0] for x in row), []).append(u)
+        pattern = tuple(map(operator.sub, row, repeat(row[0])))
+        fitting.setdefault(pattern, []).append(u)
     images = []
     for i, col in enumerate(m.transpose()):
-        candidates = fitting.get(tuple(col[0] - x for x in col), [])
+        candidates = fitting.get(tuple(map(operator.sub, repeat(col[0]), col)), [])
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from .errors import (
     DimensionMismatchError,
@@ -66,11 +67,18 @@ class Record(metaclass=_RecordType):
 
 
 def freeze_vector(values: Iterable[int]) -> Vector:
-    return tuple(operator.index(x) for x in values)
+    return tuple(map(operator.index, values))
 
 
 def freeze_rows(rows: Iterable[Sequence[int]]) -> Rows:
-    return tuple(freeze_vector(row) for row in rows)
+    return tuple(map(freeze_vector, rows))
+
+
+def _packed(row: Vector, lo: int, size: int) -> int:
+    """The int whose little-endian field k of size bytes holds row[k] - lo >= 0."""
+    shifted = map(operator.sub, row, repeat(lo))
+    fields = map(int.to_bytes, shifted, repeat(size), repeat("little"))
+    return int.from_bytes(b"".join(fields), "little")
 
 
 def first_triangle_violation(rows: Rows) -> tuple[int, int, int] | None:
@@ -87,10 +95,7 @@ def first_triangle_violation(rows: Rows) -> tuple[int, int, int] | None:
     size = (2 * (max(0, *map(max, rows)) - lo)).bit_length() // 8 + 1  # w = 8 * size
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
     top = ones << (8 * size - 1)
-    packed = [
-        int.from_bytes(b"".join((x - lo).to_bytes(size, "little") for x in r), "little")
-        for r in rows
-    ]
+    packed = [_packed(r, lo, size) for r in rows]
     for i, (row, pi) in enumerate(zip(rows, packed)):
         base = top - pi
         for j, (mij, pj) in enumerate(zip(row, packed)):
@@ -124,8 +129,11 @@ def _scan(
 
 
 def _is_basic(rows: Rows) -> bool:
-    n = len(rows)
-    return all(rows[i][j] + rows[j][i] > 0 for i in range(n) for j in range(i + 1, n))
+    """m(i,j) + m(j,i) > 0 for all i < j: row i against column i beyond the diagonal."""
+    return all(
+        min(map(operator.add, row[i + 1 :], col[i + 1 :]), default=1) > 0
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
+    )
 
 
 def first_negative(rows: Rows) -> tuple[int, int] | None:
@@ -260,7 +268,8 @@ def check_shift(s: Sequence[int], n: int) -> Vector:
 def conjugate_rows(rows: Rows, shift: Vector) -> Rows:
     """m(i,j) + s(i) - s(j) for frozen rows and a frozen shift of the same length."""
     return tuple(
-        tuple(x + si - sj for x, sj in zip(row, shift)) for row, si in zip(rows, shift)
+        tuple(map(operator.sub, map(operator.add, row, repeat(si)), shift))
+        for row, si in zip(rows, shift)
     )
 
 
