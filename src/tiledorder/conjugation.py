@@ -11,10 +11,9 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate
 
 from .errors import (
     DimensionMismatchError,
@@ -195,11 +194,12 @@ def equivariant_data(
         raise DimensionMismatchError(
             f"permutation acts on {perm.n} indices, matrix has {n}"
         )
-    for i, (row, moved) in enumerate(zip(rows, map(rows.__getitem__, perm.images))):
-        expected = map(operator.add, map(operator.sub, row, repeat(tw[i])), tw)
-        differs = map(operator.ne, map(moved.__getitem__, perm.images), expected)
-        j = next(compress(count(), differs), None)
-        if j is not None:
+    images = perm.images
+    for i, (row, moved, ti) in enumerate(zip(rows, [rows[k] for k in images], tw)):
+        got = [moved[k] for k in images]
+        expected = [x - ti + t for x, t in zip(row, tw)]
+        if got != expected:
+            j = next(j for j, (a, b) in enumerate(zip(got, expected)) if a != b)
             raise EquivarianceViolationError(
                 f"matrix(perm({i}), perm({j})) != matrix({i},{j}) "
                 f"- twist({i}) + twist({j})",
@@ -227,8 +227,7 @@ def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
 
 def _conjugate_twist(ed: EquivariantData, shift: Vector) -> Vector:
     """The twist after conjugating by a frozen shift: a(i) + s(i) - s(perm i)."""
-    moved = map(shift.__getitem__, ed.perm.images)
-    return tuple(map(operator.sub, map(operator.add, ed.twist, shift), moved))
+    return tuple([t + s - shift[k] for t, s, k in zip(ed.twist, shift, ed.perm.images)])
 
 
 def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantData:
@@ -313,28 +312,25 @@ def _fold_shift(twist: Vector, orbits: tuple[Vector, ...], g: int) -> list[int]:
     """
     c = [0] * len(twist)
     for orbit in orbits:
-        lap = list(map(twist.__getitem__, orbit))
+        lap = [twist[i] for i in orbit]
         p = list(accumulate(lap + lap[:g], initial=0))
         q = list(accumulate(p, initial=0))
-        span = len(orbit)
-        b = map(operator.sub, q[g : g + span], q[:span])
-        for i, bi, pi in zip(orbit, b, p):
-            c[i] = g * pi - bi
+        for i, pi, q0, qg in zip(orbit, p, q, q[g:]):
+            c[i] = g * pi - (qg - q0)
     return c
 
 
 def _fold_rows(matrix: Rows, c: Sequence[int], g: int) -> Iterator[Vector]:
     """The rows g * m(i,j) + c(i) - c(j) of the fold, one at a time."""
     for row, ci in zip(matrix, c):
-        scaled = map(operator.mul, row, repeat(g))
-        yield tuple(map(operator.sub, map(operator.add, scaled, repeat(ci)), c))
+        yield tuple([g * x + ci - cj for x, cj in zip(row, c)])
 
 
 def _block_min(rows: Iterable[Vector], orbits: tuple[Vector, ...]) -> Rows:
     """Orbit-by-orbit minima of rows given in index order, in one pass."""
     best: list[list[int] | None] = [None] * len(orbits)
     for x, row in zip(_orbit_of(orbits), rows):
-        mins = [min(map(row.__getitem__, oy)) for oy in orbits]
+        mins = [min([row[j] for j in oy]) for oy in orbits]
         best[x] = mins if best[x] is None else list(map(min, best[x], mins))
     return tuple(map(tuple, best))
 
@@ -390,14 +386,15 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
 
     Bellman-Ford on the r x r block minima (r orbits) decides the cycle test
     for m itself: the block minima have a negative cycle if and only if m
-    has one.  A negative cycle of m, folded, is a cycle of g times its sum,
-    and the block minima are no larger along the cycle of its orbits.
-    Conversely the folded matrix is invariant under perm (fold_orbits) and
-    its cycle sums are g times those of m: each edge x -> y of a negative
-    quotient cycle is attained at some (i, j), the translate of the next
-    edge by the power of perm that maps its start to j chains onto it, and
-    after at most L rounds (L the order of perm) the walk closes, a closed
-    walk of negative sum.  Only then is m searched for the witness.
+    has one.  The fold's cycle sums are g times those of m.  So a negative
+    cycle of m maps to a closed walk of orbits whose block minima sum no
+    higher, and a negative closed walk contains a negative cycle.
+    Conversely the fold is invariant under perm (fold_orbits): take a pair
+    (i, j) attaining the minimum of each edge x -> y of a negative quotient
+    cycle, translate each next pair by the power of perm that maps its start
+    onto the previous end, and after at most L rounds (L the order of perm)
+    the chain closes into a walk of the fold with negative sum.  Only then
+    is m searched for the witness.
 
     The output needs no check: with r/g = twist_avg (reduced) and a(i) =
     pos * r - sbar(x) for i at position pos of orbit x, its twist at i is

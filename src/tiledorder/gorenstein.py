@@ -11,10 +11,9 @@ rational and is invariant under conjugation by shift vectors.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .errors import (
     AmbiguousNakayamaError,
@@ -65,11 +64,12 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     """
     fitting: dict[Vector, list[int]] = {}
     for u, row in enumerate(m.rows):
-        pattern = tuple(map(operator.sub, row, repeat(row[0])))
-        fitting.setdefault(pattern, []).append(u)
+        r0 = row[0]
+        fitting.setdefault(tuple([x - r0 for x in row]), []).append(u)
     images = []
     for i, col in enumerate(m.transpose()):
-        candidates = fitting.get(tuple(map(operator.sub, repeat(col[0]), col)), [])
+        c0 = col[0]
+        candidates = fitting.get(tuple([c0 - x for x in col]), [])
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i

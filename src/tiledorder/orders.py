@@ -268,8 +268,10 @@ def check_shift(s: Sequence[int], n: int) -> Vector:
 def conjugate_rows(rows: Rows, shift: Vector) -> Rows:
     """m(i,j) + s(i) - s(j) for frozen rows and a frozen shift of the same length."""
     return tuple(
-        tuple(map(operator.sub, map(operator.add, row, repeat(si)), shift))
-        for row, si in zip(rows, shift)
+        [
+            tuple([x + si - sj for x, sj in zip(row, shift)])
+            for row, si in zip(rows, shift)
+        ]
     )
 
 

@@ -2,10 +2,12 @@
 
 These are the direct definitions the package used before its fast versions:
 the triple-loop triangle scan, Gorenstein detection that tries every row
-against every column, and the orbit fold that sums g permuted copies of the
-matrix.  `tiledorder.first_triangle_violation`, `tiledorder.detect_gorenstein`
-and `tiledorder.fold_orbits` must agree with them exactly: same witnesses,
-same exceptions, same data.
+against every column, the orbit fold that sums g permuted copies of the
+matrix, and the staged normalize pipeline that tested the whole matrix for a
+negative cycle and built the aligned data and its full fold.
+`tiledorder.first_triangle_violation`, `tiledorder.detect_gorenstein`,
+`tiledorder.fold_orbits` and `tiledorder.normalize_equivariant` must agree
+with them exactly: same witnesses, same exceptions and messages, same data.
 """
 
 from __future__ import annotations
@@ -13,14 +15,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from tiledorder.conjugation import EquivariantData, OrbitFold, is_floor_aligned
+from tiledorder.conjugation import (
+    EquivariantData,
+    OrbitFold,
+    conjugate_data,
+    find_negative_cycle,
+    floor_align,
+    fold_orbits as package_fold_orbits,
+    is_floor_aligned,
+    nonneg_conjugate,
+)
 from tiledorder.errors import (
     AmbiguousNakayamaError,
+    NegativeCycleError,
     NotFloorTypeError,
     NotGorensteinError,
 )
 from tiledorder.gorenstein import GorensteinData
-from tiledorder.orders import ExponentMatrix, Permutation, Rows
+from tiledorder.orders import ExponentMatrix, Permutation, Rows, Vector
 
 from helpers import power_images
 
@@ -113,3 +125,38 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
     return OrbitFold(
         period=g, summed=summed, block_min=block_min, orbit_of=tuple(orbit_of)
     )
+
+
+def staged_normalize(ed: EquivariantData) -> Vector:
+    """Total shift conjugating the data into normalized position.
+
+    Pipeline: floor-align, fold orbits, find a non-negative conjugate sbar of
+    the folded block minima, and lift it back through the floor
+    identification.  Requires every cycle sum of the matrix to be
+    non-negative (NegativeCycleError with a witness on the original indices
+    otherwise; a negative diagonal entry appears as a singleton cycle).
+
+    The output needs no check: with r/g = twist_avg (reduced) and a(i) =
+    pos * r - sbar(x) for i at position pos of orbit x, its twist at i is
+    floor((a(i) + r)/g) - floor(a(i)/g), a rotation of the floor profile as
+    r is prime to g: floor-aligned and within 1 of r/g.  As sum_{k<g}
+    floor((a + k * r)/g) = a + (r - 1)(g - 1)/2, its fold is fold.summed(i,j)
+    + sbar(x) - sbar(y) >= 0, and g * m'(i,j) is that plus (a(i) mod g) -
+    (a(j) mod g) > -g, so the matrix m' is entrywise non-negative.
+    """
+    witness = find_negative_cycle(ed.matrix)
+    if witness is not None:
+        raise NegativeCycleError(
+            f"matrix has negative cycle {witness}", witness=witness
+        )
+    s1 = floor_align(ed)
+    aligned = conjugate_data(ed, s1)
+    fold = package_fold_orbits(aligned)
+    sbar = nonneg_conjugate(fold.block_min)
+    r = ed.twist_avg.numerator
+    g = ed.twist_avg.denominator
+    s2 = [0] * ed.n
+    for x, orbit in enumerate(ed.orbits):
+        for pos, i in enumerate(orbit):
+            s2[i] = (pos * r) // g - (pos * r - sbar[x]) // g
+    return tuple(s1[i] + s2[i] for i in range(ed.n))

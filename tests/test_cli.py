@@ -567,3 +567,52 @@ def test_scanner_agrees_with_argparse():
                         pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
                 assert values == expected, argv
     assert accepted == set(cli.COMMANDS)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", '{"kind": "matrix", "m": ' + DEEP + "}"),
+        ("mdata-normalize", '{"m": ' + DEEP + ', "a": [0], "nu": [0]}'),
+    ],
+    ids=["order", "mdata"],
+)
+def test_deeply_nested_file_exit_2(tmp_path, capsys, command, text):
+    """json.loads' RecursionError is malformed input, not an internal failure."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    payload = only_stderr_json(err)
+    assert payload["code"] == "MalformedInput"
+    assert "nests too deeply" in payload["message"]
+
+
+def test_rejections_do_not_depend_on_assert(tmp_path):
+    """`python -O` strips asserts; every check must still reject the same way."""
+    cases = {
+        "tri.json": ("validate", '{"kind": "matrix", "m": [[0, 1, 5], [1, 0, 1], [1, 1, 0]]}'),
+        "notg.json": ("gorenstein", '{"kind": "matrix", "m": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}'),
+        "neg.json": ("mdata-normalize", '{"m": [[0, -1], [-1, 0]], "a": [0, 0], "nu": [1, 0]}'),
+    }
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for name, (command, text) in cases.items():
+        (tmp_path / name).write_text(text)
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-S", "-m", "tiledorder", command, name],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+            )
+            for flags in ([], ["-O"])
+        ]
+        plain, optimized = ((r.returncode, r.stdout, r.stderr) for r in runs)
+        assert optimized == plain
+        assert plain[0] == 1
+        codes.append(only_stderr_json(plain[2])["code"])
+    assert codes == ["TriangleViolation", "NotGorenstein", "NegativeCycle"]

@@ -5,6 +5,7 @@ Gorenstein detection and the power-sum orbit fold unchanged; every test here
 is seeded and compares witnesses, exception classes and results exactly.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from tiledorder import (
     DomainError,
     EquivarianceViolationError,
     ExponentMatrix,
+    NegativeCycleError,
     NonzeroDiagonalError,
     NotGorensteinError,
     Permutation,
@@ -23,10 +25,12 @@ from tiledorder import (
     cyclic_order,
     detect_gorenstein,
     equivariant_data,
+    find_negative_cycle,
     floor_align,
     fold_orbits,
     is_floor_aligned,
     morita_shift,
+    normalize_equivariant,
     order_equivariant_data,
     validate_order,
 )
@@ -34,6 +38,7 @@ from tiledorder import conjugation
 from tiledorder.orders import first_triangle_violation
 
 from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
+from helpers import power_images
 
 HUGE = 10**400
 
@@ -304,3 +309,257 @@ class TestEquivarianceScan:
             witnesses.add(got)
         assert None in witnesses
         assert {w[1] for w in witnesses if w} == set(range(5))
+
+
+def normalize_outcome(normalize, ed):
+    try:
+        return normalize(ed)
+    except DomainError as exc:
+        return type(exc), exc.witness, str(exc)
+
+
+def lowered_pair_orbit(ed, i, j, d):
+    """ed with m(perm^k i, perm^k j) lowered by d for every k: still equivariant."""
+    rows = [list(row) for row in ed.matrix]
+    a, b = i, j
+    while True:
+        rows[a][b] -= d
+        a, b = ed.perm(a), ed.perm(b)
+        if (a, b) == (i, j):
+            return equivariant_data(rows, ed.twist, ed.perm)
+
+
+def cyclic_data(rng, n):
+    m = relabeled_shifted_cyclic(rng, n)
+    return order_equivariant_data(m, detect_gorenstein(m))
+
+
+def descending_chain(rng, n):
+    """m(i+1,i) = -1 and v elsewhere, relabeled, with the identity permutation.
+
+    The chain from i down to j < i sums to j - i, so some cycle is negative
+    exactly when v < n - 1.
+    """
+    v = rng.randint(n - 3, n + 1)
+    o = list(range(n))
+    rng.shuffle(o)
+    rows = [[v] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[o[i + 1]][o[i]] = -1
+    twist = [rng.randint(-3, 3)] * n
+    return equivariant_data(rows, twist, Permutation(tuple(range(n))))
+
+
+def random_equivariant(rng, lo, hi):
+    """Equivariant data for a random permutation, twist and matrix values.
+
+    The permutation has one to three cycles whose lengths are multiples of
+    g, so a twist average r/g fits every orbit; the twist has that average
+    on each orbit, and each orbit of index pairs gets one free value carried
+    along by the relation, which closes up because the averages agree.
+    """
+    g = rng.randint(1, 3)
+    lengths = [g * rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    n = sum(lengths)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    images = [0] * n
+    for end, length in zip(itertools.accumulate(lengths), lengths):
+        cycle = labels[end - length : end]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    perm = Permutation(tuple(images))
+    r = rng.randint(-2 * g, 2 * g)
+    twist = [0] * n
+    for orbit in perm.orbits():
+        values = [rng.randint(-3, 3) for _ in orbit[1:]]
+        values.append(len(orbit) * r // g - sum(values))
+        for i, t in zip(orbit, values):
+            twist[i] = t
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            v, a, b = rng.randint(lo, hi), i, j
+            while rows[a][b] is None:
+                rows[a][b] = v
+                v = v - twist[a] + twist[b]
+                a, b = images[a], images[b]
+    return equivariant_data(rows, twist, perm)
+
+
+class TestNormalizeDifferential:
+    """normalize_equivariant against the staged pipeline it replaced.
+
+    Both return the same shift, or raise the same class with the same
+    witness and message.
+    """
+
+    def check(self, data, accepted, rejected):
+        kinds = set()
+        for ed in data:
+            got = normalize_outcome(normalize_equivariant, ed)
+            assert got == normalize_outcome(matrix_oracles.staged_normalize, ed)
+            kinds.add("ok" if isinstance(got[0], int) else got[0])
+        if accepted:
+            assert "ok" in kinds
+        if rejected:
+            assert NegativeCycleError in kinds
+        return kinds
+
+    def test_morita_shifted_cyclic_orders(self):
+        rng = random.Random(413)
+        data = [cyclic_data(rng, rng.randint(1, 12)) for _ in range(300)]
+        self.check(data, True, False)
+
+    def test_multi_orbit_templates(self):
+        rng = random.Random(414)
+        data = []
+        for _ in range(150):
+            ed = two_orbit_data({x: rng.randint(-1, 4) for x in SYMBOLS})
+            data.append(conjugate_data(ed, [rng.randint(-9, 9) for _ in range(ed.n)]))
+        self.check(data, True, True)
+
+    def test_identity_permutation_descending_chains(self):
+        rng = random.Random(415)
+        data = [descending_chain(rng, rng.randint(1, 40)) for _ in range(60)]
+        self.check(data, True, True)
+
+    def test_planted_negative_cycles(self):
+        # lowering one orbit of pairs (i, j), i != j, by more than the
+        # smallest cycle sum through it makes that cycle negative
+        rng = random.Random(416)
+        data = []
+        for _ in range(200):
+            ed = cyclic_data(rng, rng.randint(2, 10))
+            i, j = rng.sample(range(ed.n), 2)
+            data.append(lowered_pair_orbit(ed, i, j, rng.randint(1, 12)))
+        self.check(data, True, True)
+
+    def test_negative_diagonals(self):
+        rng = random.Random(417)
+        data = []
+        for _ in range(100):
+            ed = cyclic_data(rng, rng.randint(1, 9))
+            i = rng.randrange(ed.n)
+            data.append(lowered_pair_orbit(ed, i, i, rng.randint(1, 3)))
+        for ed in data:
+            with pytest.raises(NegativeCycleError) as ei:
+                normalize_equivariant(ed)
+            assert len(ei.value.witness) == 1
+        self.check(data, False, True)
+
+    def test_random_permutations(self):
+        rng = random.Random(418)
+        data = [random_equivariant(rng, -2, 6) for _ in range(300)]
+        self.check(data, True, True)
+
+
+class TestQuotientCriterion:
+    def test_block_minima_have_a_cycle_exactly_when_the_matrix_does(self):
+        # random permutations and twists; negative values plant cycles
+        rng = random.Random(419)
+        seen = set()
+        for _ in range(600):
+            lo = rng.choice((-3, -1, 0, 1))
+            ed = random_equivariant(rng, lo, lo + rng.randint(0, 8))
+            fold = fold_orbits(conjugate_data(ed, floor_align(ed)))
+            whole = find_negative_cycle(ed.matrix)
+            quotient = find_negative_cycle(fold.block_min)
+            assert (quotient is None) == (whole is None)
+            if whole is not None:
+                with pytest.raises(NegativeCycleError) as ei:
+                    normalize_equivariant(ed)
+                assert ei.value.witness == whole
+            seen.add((len(ed.orbits) > 1, whole is None))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class TestConjugationKernels:
+    """The C-iterated kernels of gorenstein and conjugation, at n = 1, with
+    negative entries and with entries of size 10**400."""
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_detect_patterns(self, scale):
+        rng = random.Random(420)
+        for n in [1] * 5 + [rng.randint(2, 8) for _ in range(100)]:
+            m = relabeled_shifted_cyclic(rng, n)
+            m = ExponentMatrix(tuple(tuple(x * scale for x in row) for row in m.rows))
+            assert detect_gorenstein(m) == matrix_oracles.detect_gorenstein(m)
+            rows = [list(row) for row in m.rows]
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+            bad = ExponentMatrix(tuple(map(tuple, rows)))
+            assert outcome(detect_gorenstein, bad) == outcome(
+                matrix_oracles.detect_gorenstein, bad
+            )
+
+    def test_equivariance_scan_huge(self):
+        # the relation is linear, so scaled data stay equivariant; a nudge of
+        # one breaks it unless (i, j) is a fixed point of perm x perm
+        rng = random.Random(421)
+        witnesses = set()
+        for _ in range(300):
+            m = relabeled_shifted_cyclic(rng, rng.randint(1, 5))
+            g = detect_gorenstein(m)
+            rows = [[x * HUGE for x in row] for row in m.transpose()]
+            twist = [-x * HUGE for x in g.p]
+            i, j = rng.randrange(m.n), rng.randrange(m.n)
+            rows[i][j] += rng.choice((-1, 1))
+            images = g.nu.images
+            expected = next(
+                (
+                    (i, j)
+                    for i in range(m.n)
+                    for j in range(m.n)
+                    if rows[images[i]][images[j]] != rows[i][j] - twist[i] + twist[j]
+                ),
+                None,
+            )
+            try:
+                equivariant_data(rows, twist, Permutation(images))
+                got = None
+            except EquivarianceViolationError as exc:
+                got = exc.witness
+            assert got == expected
+            witnesses.add(got)
+        assert None in witnesses and len(witnesses) > 10
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_fold_shift_is_the_walk(self, scale):
+        # c = -B, B(i) = sum_{t<g} (g-1-t) twist(perm^t i), on any twist
+        rng = random.Random(422)
+        for _ in range(200):
+            ed = random_equivariant(rng, -3, 3)
+            ed = conjugate_data(ed, [rng.randint(-9, 9) * scale for _ in range(ed.n)])
+            g = ed.period
+            walks = [power_images(ed.perm, t) for t in range(g)]
+            expected = [
+                -sum((g - 1 - t) * ed.twist[walks[t][i]] for t in range(g))
+                for i in range(ed.n)
+            ]
+            assert conjugation._fold_shift(ed.twist, ed.orbits, g) == expected
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_fold_of_shifted_data(self, scale):
+        rng = random.Random(423)
+        for _ in range(100):
+            ed = cyclic_data(rng, rng.randint(1, 8))
+            ed = conjugate_data(ed, [rng.randint(-9, 9) * scale for _ in range(ed.n)])
+            aligned = conjugate_data(ed, floor_align(ed))
+            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_block_min(self, scale):
+        rng = random.Random(424)
+        for _ in range(300):
+            images = list(range(rng.randint(1, 8)))
+            rng.shuffle(images)
+            orbits = Permutation(tuple(images)).orbits()
+            n = len(images)
+            rows = tuple(
+                tuple(rng.randint(-9, 9) * scale for _ in range(n)) for _ in range(n)
+            )
+            expected = tuple(
+                tuple(min(rows[i][j] for i in ox for j in oy) for oy in orbits)
+                for ox in orbits
+            )
+            assert conjugation._block_min(rows, orbits) == expected

@@ -1,5 +1,7 @@
 import copy
+import operator
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from tiledorder import (
     morita_shift,
     validate_order,
 )
+from tiledorder import orders
 from tiledorder.files import OrderSource
 
 from helpers import identity, power_images
@@ -343,3 +346,73 @@ class TestMoritaShift:
         seq = tuple(range(m.n))
         shifted = morita_shift(m, tuple((i * i) % 3 for i in range(m.n)))
         assert cycle_sum(m.rows, seq) == cycle_sum(shifted.rows, seq)
+
+
+def kernel_rows(rng, n, scale):
+    """n x n rows of entries in -9..9 times scale, negative ones included."""
+    return tuple(tuple(rng.randint(-9, 9) * scale for _ in range(n)) for _ in range(n))
+
+
+class TestKernelsAgainstDefinitions:
+    """The C-iterated per-entry kernels against their literal definitions."""
+
+    SCALES = [1, 10**400]
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["small", "huge"])
+    def test_freeze_vector(self, scale):
+        rng = random.Random(501)
+        for n in (1, 2, 5, 9):
+            values = [rng.randint(-9, 9) * scale for _ in range(n)]
+            frozen = orders.freeze_vector(values)
+            assert frozen == tuple(operator.index(x) for x in values)
+            assert orders.freeze_rows([values, values]) == (frozen, frozen)
+
+    def test_freeze_vector_float_and_bool(self):
+        with pytest.raises(TypeError):
+            orders.freeze_vector([1, 2.0])
+        with pytest.raises(TypeError):
+            orders.freeze_vector([1.0])
+        frozen = orders.freeze_vector([True, False, 3])
+        assert frozen == (1, 0, 3)
+        assert [type(x) for x in frozen] == [int, int, int]
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["small", "huge"])
+    def test_conjugate_rows(self, scale):
+        rng = random.Random(502)
+        for n in (1, 2, 3, 6, 9):
+            rows = kernel_rows(rng, n, scale)
+            shift = tuple(rng.randint(-9, 9) * scale for _ in range(n))
+            assert orders.conjugate_rows(rows, shift) == tuple(
+                tuple(rows[i][j] + shift[i] - shift[j] for j in range(n))
+                for i in range(n)
+            )
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["small", "huge"])
+    def test_is_basic(self, scale):
+        rng = random.Random(503)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            rows = [
+                [0 if i == j else rng.randint(-2, 3) * scale for j in range(n)]
+                for i in range(n)
+            ]
+            rows = tuple(map(tuple, rows))
+            expected = all(
+                rows[i][j] + rows[j][i] > 0 for i in range(n) for j in range(i + 1, n)
+            )
+            assert orders._is_basic(rows) == expected
+            outcomes.add((n == 1, expected))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("scale", SCALES, ids=["small", "huge"])
+    def test_packed_rows(self, scale):
+        rng = random.Random(504)
+        for n in (1, 2, 7):
+            row = tuple(rng.randint(-9, 9) * scale for _ in range(n))
+            lo = min(0, *row)
+            size = (2 * (max(0, *row) - lo)).bit_length() // 8 + 1
+            literal = int.from_bytes(
+                b"".join((x - lo).to_bytes(size, "little") for x in row), "little"
+            )
+            assert orders._packed(row, lo, size) == literal
