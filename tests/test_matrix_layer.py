@@ -1,8 +1,10 @@
 """The matrix layer's fast paths against the cubic code they replaced.
 
 `matrix_oracles` holds the triple-loop triangle scan, the row-by-column
-Gorenstein detection and the power-sum orbit fold unchanged; every test here
-is seeded and compares witnesses, exception classes and results exactly.
+Gorenstein detection, the power-sum orbit fold and the staged normalize
+pipeline unchanged; every test here is seeded and compares witnesses,
+exception classes and results exactly.  The per-entry kernels are also
+checked against their literal definitions.
 """
 
 import itertools
