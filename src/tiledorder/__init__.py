@@ -24,9 +24,7 @@ _EXPORTS = {
             "NonzeroDiagonalError",
             "NotBijectiveError",
             "NotCyclicError",
-            "NotFloorTypeError",
             "NotGorensteinError",
-            "NotIntegralSumError",
             "NotNGradedError",
             "PositiveParameterError",
             "TooLargeError",
@@ -57,16 +55,12 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "EquivariantData",
-            "OrbitFold",
             "conjugate_data",
             "conjugate_matrix",
             "cycle_sum",
             "equivariant_data",
             "find_negative_cycle",
             "floor_align",
-            "floor_profile",
-            "fold_orbits",
-            "is_floor_aligned",
             "nonneg_conjugate",
             "normalize_equivariant",
             "order_equivariant_data",

@@ -6,7 +6,10 @@ machine-readable {code, message, witness} object on stderr, 2 for malformed
 input files or flags, 3 for internal failures (any other exception, or
 ``quiver --oracle`` disagreeing with the cover computation) with one
 {"code": "Internal", "message": "<Type>: <text>", "witness": null} object on
-stderr.  All output is deterministic.
+stderr.  The closed-form oracle rules hold only for strictly positive
+weights, so a disagreement on weights with a zero is a domain error (code
+``ZeroWeights``, witness the first zero weight's index).  All output is
+deterministic.
 
 A run imports only what its subcommand uses: each ``cmd_*`` imports from the
 modules that define its functions when it runs.  The grammar is stated once,
@@ -28,6 +31,7 @@ from .errors import (
     InputFileError,
     NotCyclicError,
     TriangleViolationError,
+    ZeroWeightsError,
 )
 
 
@@ -143,6 +147,12 @@ def cmd_quiver(args) -> int:
         if source.kind != "cyclic":
             raise NotCyclicError("--oracle requires a cyclic order file")
         if cyclic_hasse_oracle(source.weights) != quiver:
+            if 0 in source.weights:
+                i = source.weights.index(0)
+                raise ZeroWeightsError(
+                    f"--oracle rules need positive weights; weight {i} is 0",
+                    witness=i,
+                )
             raise RuntimeError("oracle and cover computation disagree")
         lines.append("oracle: ISOMORPHIC")
     print("\n".join(lines))  # after every write and check

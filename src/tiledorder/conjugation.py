@@ -21,8 +21,6 @@ from .errors import (
     IndexOutOfRangeError,
     NegativeCycleError,
     NegativeDiagonalError,
-    NotFloorTypeError,
-    NotIntegralSumError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
 from .orders import check_shift, conjugate_rows, freeze_rows
@@ -136,20 +134,6 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
     return tuple(dist)
 
 
-def floor_profile(r: int, g: int, n: int) -> Vector:
-    """The difference sequence floor((i+1)r/g) - floor(ir/g) for i = 0..n-1.
-
-    Floors are toward minus infinity.  The sum telescopes to n*r/g, so g must
-    divide r*n (NotIntegralSumError otherwise).  All values lie in {c, c+1}
-    where c = floor(r/g).
-    """
-    if g < 1 or n < 1:
-        raise ValueError("need g >= 1 and n >= 1")
-    if (r * n) % g != 0:
-        raise NotIntegralSumError(f"g={g} does not divide r*n={r * n}")
-    return tuple((i + 1) * r // g - i * r // g for i in range(n))
-
-
 class EquivariantData(Record):
     """A square integer matrix with permutation-equivariance data.
 
@@ -253,8 +237,9 @@ def floor_align(ed: EquivariantData) -> Vector:
     """Shift making each orbit's twist equal the floor profile of the average.
 
     Walking an orbit (base point first), s(i) = (partial twist sum up to i)
-    - floor(position * twist_avg); the conjugated twist then equals
-    floor_profile(r, g, orbit length) exactly, starting at the base point.
+    - floor(position * twist_avg); the conjugated twist at position pos
+    then equals floor((pos + 1) * r / g) - floor(pos * r / g), the floor
+    profile of r/g = twist_avg, starting at the base point.
     """
     r = ed.twist_avg.numerator
     g = ed.twist_avg.denominator
@@ -267,48 +252,14 @@ def floor_align(ed: EquivariantData) -> Vector:
     return tuple(s)
 
 
-def is_floor_aligned(ed: EquivariantData) -> bool:
-    """True when every orbit's twist is a rotation of its floor profile.
-
-    Rotations must be allowed: each orbit may be identified with Z/n_x from
-    any of its points, not only the smallest one.
-    """
-    r = ed.twist_avg.numerator
-    g = ed.twist_avg.denominator
-    for orbit in ed.orbits:
-        nx = len(orbit)
-        profile = tuple(ed.twist[i] for i in orbit)
-        target = floor_profile(r, g, nx)
-        if not any(
-            profile == tuple(target[(k + t) % nx] for k in range(nx))
-            for t in range(nx)
-        ):
-            return False
-    return True
-
-
-class OrbitFold(Record):
-    """Result of summing an equivariant matrix over permutation powers.
-
-    summed(i,j) collects the g = period translates m(perm^k(i), perm^k(j));
-    block_min is the orbit-by-orbit minimum of summed, indexed by orbits in
-    base-point order; orbit_of maps each index to its orbit position.
-    """
-
-    period: int
-    summed: Rows
-    block_min: Rows
-    orbit_of: Vector
-
-
 def _fold_shift(twist: Vector, orbits: tuple[Vector, ...], g: int) -> list[int]:
     """c = -B, B(i) = sum_{k<g} A_k(i), A_k(i) = sum_{t<k} twist(perm^t i).
 
     The fold of equivariant data with this twist is g * m(i,j) + c(i) - c(j)
-    (see fold_orbits).  Along an orbit from its base point, with P the prefix
-    sums of the twist and Q those of P, A_k at position pos is P[pos + k] -
-    P[pos], so B is Q[pos + g] - Q[pos] - g * P[pos]: O(n), as g divides
-    every orbit length and one extra lap of g terms covers the wrap.
+    (see normalize_equivariant).  Along an orbit from its base point, with P
+    the prefix sums of the twist and Q those of P, A_k at position pos is
+    P[pos + k] - P[pos], so B is Q[pos + g] - Q[pos] - g * P[pos]: O(n), as
+    g divides every orbit length and one extra lap of g terms covers the wrap.
     """
     c = [0] * len(twist)
     for orbit in orbits:
@@ -328,44 +279,13 @@ def _fold_rows(matrix: Rows, c: Sequence[int], g: int) -> Iterator[Vector]:
 
 def _block_min(rows: Iterable[Vector], orbits: tuple[Vector, ...]) -> Rows:
     """Orbit-by-orbit minima of rows given in index order, in one pass."""
+    orbit_of = {i: x for x, orbit in enumerate(orbits) for i in orbit}
     best: list[list[int] | None] = [None] * len(orbits)
-    for x, row in zip(_orbit_of(orbits), rows):
+    for i, row in enumerate(rows):
+        x = orbit_of[i]
         mins = [min([row[j] for j in oy]) for oy in orbits]
         best[x] = mins if best[x] is None else list(map(min, best[x], mins))
     return tuple(map(tuple, best))
-
-
-def _orbit_of(orbits: tuple[Vector, ...]) -> list[int]:
-    """Position in orbits of the orbit holding each index."""
-    orbit_of = [0] * sum(map(len, orbits))
-    for x, orbit in enumerate(orbits):
-        for i in orbit:
-            orbit_of[i] = x
-    return orbit_of
-
-
-def fold_orbits(ed: EquivariantData) -> OrbitFold:
-    """Fold floor-aligned data over perm powers and minimize over orbit blocks.
-
-    k steps of the equivariance relation give m(perm^k i, perm^k j) = m(i,j)
-    - A_k(i) + A_k(j), A_k(i) = sum_{t<k} twist(perm^t i), so on any data
-    summed(i,j) = g * m(i,j) - B(i) + B(j), B(i) = sum_{k<g} A_k(i): O(n^2 +
-    g * n).  Floor-aligned twists are floor profiles, of period g with any g
-    consecutive terms summing to r, so A_g is constant, m is invariant under
-    perm^g, and summed under perm: a shift by one power trades its term
-    m(i,j) for the equal m(perm^g i, perm^g j).
-    """
-    if not is_floor_aligned(ed):
-        raise NotFloorTypeError("twist is not a rotation of its floor profile")
-    g = ed.period
-    c = _fold_shift(ed.twist, ed.orbits, g)
-    summed = tuple(_fold_rows(ed.matrix, c, g))
-    return OrbitFold(
-        period=g,
-        summed=summed,
-        block_min=_block_min(summed, ed.orbits),
-        orbit_of=tuple(_orbit_of(ed.orbits)),
-    )
 
 
 def normalize_equivariant(ed: EquivariantData) -> Vector:
@@ -378,18 +298,27 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     the original indices otherwise; a negative diagonal entry appears as a
     singleton cycle).
 
+    The fold of data (m, twist, perm) of period g is summed(i,j) = sum_{k<g}
+    m(perm^k i, perm^k j).  k steps of the equivariance relation give
+    m(perm^k i, perm^k j) = m(i,j) - A_k(i) + A_k(j), A_k(i) = sum_{t<k}
+    twist(perm^t i), so on any data summed(i,j) = g * m(i,j) - B(i) + B(j),
+    B(i) = sum_{k<g} A_k(i).  Floor-aligned twists are floor profiles, of
+    period g with any g consecutive terms summing to r, so A_g is constant,
+    m is invariant under perm^g, and summed under perm: a shift by one power
+    trades its term m(i,j) for the equal m(perm^g i, perm^g j).
+
     The aligned data are never built.  Conjugating by s1 turns the twist
     into the floor profile of each orbit from its base point, so the fold of
     the aligned data is g * m(i,j) + c(i) - c(j) with c = g * s1 - B, B
     computed from the aligned twist, and only its block minima are kept: one
-    pass over m.
+    pass over m, O(n^2).
 
     Bellman-Ford on the r x r block minima (r orbits) decides the cycle test
     for m itself: the block minima have a negative cycle if and only if m
     has one.  The fold's cycle sums are g times those of m.  So a negative
     cycle of m maps to a closed walk of orbits whose block minima sum no
     higher, and a negative closed walk contains a negative cycle.
-    Conversely the fold is invariant under perm (fold_orbits): take a pair
+    Conversely the aligned fold is invariant under perm: take a pair
     (i, j) attaining the minimum of each edge x -> y of a negative quotient
     cycle, translate each next pair by the power of perm that maps its start
     onto the previous end, and after at most L rounds (L the order of perm)

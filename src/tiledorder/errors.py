@@ -72,16 +72,8 @@ class NegativeDiagonalError(DomainError):
     code = "NegativeDiagonal"
 
 
-class NotIntegralSumError(DomainError):
-    code = "NotIntegralSum"
-
-
 class EquivarianceViolationError(DomainError):
     code = "EquivarianceViolation"
-
-
-class NotFloorTypeError(DomainError):
-    code = "NotFloorType"
 
 
 class DimensionMismatchError(DomainError):

@@ -10,7 +10,9 @@ A second grid transcribes the expected two-power fold of the same template
 the fold against an independent rendering instead of re-running the sum.
 """
 
-from tiledorder import ExponentMatrix, Permutation, equivariant_data, floor_profile
+from tiledorder import ExponentMatrix, Permutation, equivariant_data
+
+from helpers import floor_profile
 
 SYMBOLS = "bcdefghijklmnp"
 

@@ -1,15 +1,21 @@
 """Small conveniences that only the tests use.
 
 The package itself never needs the identity permutation, the images of a
-permutation power or the boolean form of the negative-cycle test, so they
-live here, built on the package's public API.
+permutation power, the boolean form of the negative-cycle test, floor
+profiles or the floor-alignment test, so they live here, built on the
+package's public API.  `kernel_fold` is the one exception: it runs the
+private closed-form fold kernel of `tiledorder.conjugation`, which tests
+compare with the power-sum fold of `matrix_oracles`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
-from tiledorder import Permutation, find_negative_cycle
+from tiledorder import EquivariantData, Permutation, find_negative_cycle
+from tiledorder import conjugation
+from tiledorder.orders import Rows, Vector
 
 
 def identity(n: int) -> Permutation:
@@ -28,3 +34,48 @@ def power_images(perm: Permutation, k: int) -> tuple[int, ...]:
 def is_cycle_nonneg(matrix: Sequence[Sequence[int]]) -> bool:
     """True when every directed cycle sum (diagonal included) is non-negative."""
     return find_negative_cycle(matrix) is None
+
+
+def floor_profile(r: int, g: int, n: int) -> Vector:
+    """The difference sequence floor((i+1)r/g) - floor(ir/g) for i = 0..n-1.
+
+    Floors are toward minus infinity.  The sum telescopes to n*r/g, so g must
+    divide r*n (ValueError otherwise).  All values lie in {c, c+1} where
+    c = floor(r/g).
+    """
+    if g < 1 or n < 1 or (r * n) % g != 0:
+        raise ValueError(f"need g >= 1, n >= 1 and g | r*n, got {r, g, n}")
+    return tuple((i + 1) * r // g - i * r // g for i in range(n))
+
+
+def is_floor_aligned(ed: EquivariantData) -> bool:
+    """True when every orbit's twist is a rotation of its floor profile.
+
+    Rotations must be allowed: each orbit may be identified with Z/n_x from
+    any of its points, not only the smallest one.
+    """
+    r = ed.twist_avg.numerator
+    g = ed.twist_avg.denominator
+    for orbit in ed.orbits:
+        nx = len(orbit)
+        profile = tuple(ed.twist[i] for i in orbit)
+        target = floor_profile(r, g, nx)
+        if not any(profile == target[t:] + target[:t] for t in range(nx)):
+            return False
+    return True
+
+
+class Fold(NamedTuple):
+    """The fold summed(i,j) = sum_{k<g} m(perm^k i, perm^k j) and its
+    orbit-by-orbit minima, orbits in base-point order."""
+
+    summed: Rows
+    block_min: Rows
+
+
+def kernel_fold(ed: EquivariantData) -> Fold:
+    """The package's closed-form fold g * m(i,j) + c(i) - c(j) of any data."""
+    g = ed.period
+    c = conjugation._fold_shift(ed.twist, ed.orbits, g)
+    summed = tuple(conjugation._fold_rows(ed.matrix, c, g))
+    return Fold(summed, conjugation._block_min(summed, ed.orbits))

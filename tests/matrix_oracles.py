@@ -5,9 +5,12 @@ the triple-loop triangle scan, Gorenstein detection that tries every row
 against every column, the orbit fold that sums g permuted copies of the
 matrix, and the staged normalize pipeline that tested the whole matrix for a
 negative cycle and built the aligned data and its full fold.
-`tiledorder.first_triangle_violation`, `tiledorder.detect_gorenstein`,
-`tiledorder.fold_orbits` and `tiledorder.normalize_equivariant` must agree
-with them exactly: same witnesses, same exceptions and messages, same data.
+`tiledorder.orders.first_triangle_violation`, `tiledorder.detect_gorenstein`,
+the closed-form fold kernel of `tiledorder.conjugation` (see
+`helpers.kernel_fold`) and `tiledorder.normalize_equivariant` must agree with
+them exactly: same witnesses, same exceptions and messages, same data.  The
+staged pipeline folds with the power sum below, so it shares no fold code
+with the package path it checks.
 """
 
 from __future__ import annotations
@@ -17,24 +20,20 @@ from typing import Optional
 
 from tiledorder.conjugation import (
     EquivariantData,
-    OrbitFold,
     conjugate_data,
     find_negative_cycle,
     floor_align,
-    fold_orbits as package_fold_orbits,
-    is_floor_aligned,
     nonneg_conjugate,
 )
 from tiledorder.errors import (
     AmbiguousNakayamaError,
     NegativeCycleError,
-    NotFloorTypeError,
     NotGorensteinError,
 )
 from tiledorder.gorenstein import GorensteinData
 from tiledorder.orders import ExponentMatrix, Permutation, Rows, Vector
 
-from helpers import power_images
+from helpers import Fold, power_images
 
 
 def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
@@ -89,18 +88,17 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
 
 
-def fold_orbits(ed: EquivariantData) -> OrbitFold:
-    """Fold floor-aligned data over perm powers and minimize over orbit blocks.
+def fold_orbits(ed: EquivariantData) -> Fold:
+    """Sum the matrix over g = period perm powers and minimize over orbit blocks.
 
-    Floor alignment makes the matrix invariant under perm^g: g steps of the
-    equivariance relation change m(i,j) by A(j) - A(i), A(i) the sum of g
-    consecutive twists along the orbit of i.  A floor profile has period g
-    and any g consecutive terms sum to r, so A is constant.  So summed is
-    invariant under (i,j) -> (perm i, perm j), which trades its term m(i,j)
-    for the equal m(perm^g i, perm^g j).
+    The definition, on any data.  On floor-aligned data the matrix is
+    invariant under perm^g: g steps of the equivariance relation change
+    m(i,j) by A(j) - A(i), A(i) the sum of g consecutive twists along the
+    orbit of i.  A floor profile has period g and any g consecutive terms sum
+    to r, so A is constant.  So summed is then invariant under (i,j) ->
+    (perm i, perm j), which trades its term m(i,j) for the equal
+    m(perm^g i, perm^g j).
     """
-    if not is_floor_aligned(ed):
-        raise NotFloorTypeError("twist is not a rotation of its floor profile")
     n = ed.n
     g = ed.period
     powers = [power_images(ed.perm, k) for k in range(g)]
@@ -111,10 +109,6 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
         )
         for i in range(n)
     )
-    orbit_of = [0] * n
-    for x, orbit in enumerate(ed.orbits):
-        for i in orbit:
-            orbit_of[i] = x
     block_min = tuple(
         tuple(
             min(summed[i][j] for i in ox for j in oy)
@@ -122,9 +116,7 @@ def fold_orbits(ed: EquivariantData) -> OrbitFold:
         )
         for ox in ed.orbits
     )
-    return OrbitFold(
-        period=g, summed=summed, block_min=block_min, orbit_of=tuple(orbit_of)
-    )
+    return Fold(summed, block_min)
 
 
 def staged_normalize(ed: EquivariantData) -> Vector:
@@ -151,7 +143,7 @@ def staged_normalize(ed: EquivariantData) -> Vector:
         )
     s1 = floor_align(ed)
     aligned = conjugate_data(ed, s1)
-    fold = package_fold_orbits(aligned)
+    fold = fold_orbits(aligned)
     sbar = nonneg_conjugate(fold.block_min)
     r = ed.twist_avg.numerator
     g = ed.twist_avg.denominator

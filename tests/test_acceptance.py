@@ -19,7 +19,6 @@ from tiledorder import (
     cyclic_order,
     detect_gorenstein,
     endo_block_dim,
-    fold_orbits,
     grothendieck_rank,
     hasse_quiver,
     hom_dim,
@@ -40,6 +39,7 @@ from equivariant_templates import (
     two_orbit_data,
     two_orbit_summed,
 )
+from helpers import kernel_fold
 
 
 def _report(num: int, name: str, failures: list) -> None:
@@ -127,7 +127,7 @@ def test_03_two_orbit_template_fold():
     failures = []
     for value in (0, 1):
         values = {sym: value for sym in SYMBOLS}
-        fold = fold_orbits(two_orbit_data(values))
+        fold = kernel_fold(two_orbit_data(values))
         if fold.summed != two_orbit_summed(values):
             failures.append((value, "summed pattern", fold.summed))
         expected_min = ((2 * value, 2 * value), (2 * value, 2 * value))

@@ -419,6 +419,25 @@ class TestInternalFailure:
             "witness": None,
         }
 
+    def test_oracle_disagreement_with_zero_weight_exit_1(self, tmp_path, capsys):
+        # the closed-form rules hold for strictly positive weights only
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "cyclic", "weights": [2, 0, 3, 1]}')
+        code, out, err = run(capsys, "quiver", str(path), "--oracle")
+        assert code == 1
+        assert out == ""
+        error = only_stderr_json(err)
+        assert error["code"] == "ZeroWeights"
+        assert error["witness"] == 1
+
+    def test_oracle_agreement_with_zero_weight_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "cyclic", "weights": [0, 1, 1]}')
+        code, out, err = run(capsys, "quiver", str(path), "--oracle")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "oracle: ISOMORPHIC"
+
 
 class TestFileLimit:
     """Files above files.FILE_LIMIT are refused before anything is built."""

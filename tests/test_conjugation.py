@@ -9,8 +9,6 @@ from tiledorder import (
     IndexOutOfRangeError,
     NegativeCycleError,
     NegativeDiagonalError,
-    NotFloorTypeError,
-    NotIntegralSumError,
     Permutation,
     TooLargeError,
     conjugate_data,
@@ -20,9 +18,6 @@ from tiledorder import (
     equivariant_data,
     find_negative_cycle,
     floor_align,
-    floor_profile,
-    fold_orbits,
-    is_floor_aligned,
     nonneg_conjugate,
     normalize_equivariant,
     order_equivariant_data,
@@ -41,7 +36,14 @@ from equivariant_templates import (
     two_orbit_data,
     two_orbit_order,
 )
-from helpers import identity, is_cycle_nonneg, power_images
+from helpers import (
+    floor_profile,
+    identity,
+    is_cycle_nonneg,
+    is_floor_aligned,
+    kernel_fold,
+    power_images,
+)
 from test_gorenstein import relabeled_shifted_cyclic
 from test_orders import CYCLIC_1111, shifted_cyclic
 
@@ -306,7 +308,7 @@ class TestFloorProfile:
         assert floor_profile(5, 1, 3) == (5, 5, 5)
 
     def test_nonintegral_rejected(self):
-        with pytest.raises(NotIntegralSumError):
+        with pytest.raises(ValueError):
             floor_profile(1, 2, 3)
 
     @given(
@@ -473,8 +475,8 @@ def assert_periodic(ed):
 
 
 def assert_fold_invariant(ed):
-    """fold_orbits' summed is invariant under (i, j) -> (perm i, perm j)."""
-    summed = fold_orbits(ed).summed
+    """The fold is invariant under (i, j) -> (perm i, perm j)."""
+    summed = kernel_fold(ed).summed
     for i in range(ed.n):
         for j in range(ed.n):
             assert summed[ed.perm(i)][ed.perm(j)] == summed[i][j]
@@ -485,24 +487,31 @@ class TestFoldOrbits:
         m, g = cyclic_order((1, 1, 1, 1))
         ed = order_equivariant_data(m, g)
         assert ed.period == 1
-        fold = fold_orbits(ed)
+        fold = kernel_fold(ed)
         assert fold.summed == ed.matrix
         assert fold.block_min == ((0,),)
-        assert fold.orbit_of == (0, 0, 0, 0)
 
     def test_requires_alignment(self):
+        # the quotient argument of normalize_equivariant uses the alignment:
+        # unaligned, the fold need not be invariant under perm
         m, g = cyclic_order((2, 0, 0, 0))
         ed = order_equivariant_data(m, g)  # twist (-1,1,1,1): not a profile
-        with pytest.raises(NotFloorTypeError):
-            fold_orbits(ed)
+        assert not is_floor_aligned(ed)
+        summed = kernel_fold(ed).summed
+        assert any(
+            summed[ed.perm(i)][ed.perm(j)] != summed[i][j]
+            for i in range(ed.n)
+            for j in range(ed.n)
+        )
+        assert_fold_invariant(conjugate_data(ed, floor_align(ed)))
 
     @given(
         shifted_cyclic(max_n=6),
         st.lists(st.integers(-4, 4), min_size=6, max_size=6),
     )
     def test_aligned_data_is_periodic(self, m, raw):
-        # fold_orbits relies on these without checking them: floor-aligned
-        # data is invariant under perm^g, and its fold under perm
+        # normalize_equivariant relies on these without checking them:
+        # floor-aligned data is invariant under perm^g, and its fold under perm
         from tiledorder import detect_gorenstein
 
         s = tuple(raw[: m.n])
@@ -526,10 +535,10 @@ class TestFoldOrbits:
         m, g = cyclic_order((2, 0, 0, 0))
         ed = order_equivariant_data(m, g)
         aligned = conjugate_data(ed, floor_align(ed))
-        fold = fold_orbits(aligned)
-        assert fold.period == 2
+        assert aligned.period == 2
+        fold = kernel_fold(aligned)
         assert len(fold.block_min) == 1
-        assert fold.orbit_of == (0, 0, 0, 0)
+        assert fold.block_min == ((min(map(min, fold.summed)),),)
 
 
 class TestNormalizeEquivariant:
@@ -618,10 +627,9 @@ class TestTwoOrbitTemplate:
         values = {s: k + 1 for k, s in enumerate(SYMBOLS)}
         ed = two_orbit_data(values)
         assert ed.period == 2
-        fold = fold_orbits(ed)
+        fold = kernel_fold(ed)
         assert fold.summed == two_orbit_summed(values)
         assert fold.block_min == two_orbit_block_min(values)
-        assert fold.orbit_of == (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
 
     def test_lift_spreads_block_shift_across_orbits(self):
         """A fold whose block conjugation forces a nonzero lifted shift.
@@ -637,7 +645,7 @@ class TestTwoOrbitTemplate:
         values.update(f=-2, g=-2, h=5, i=5)
         ed = two_orbit_data(values)
 
-        fold = fold_orbits(ed)
+        fold = kernel_fold(ed)
         assert fold.block_min == ((0, -4), (10, 0))
 
         s = normalize_equivariant(ed)

@@ -9,22 +9,22 @@ import pytest
 
 import tiledorder
 
-# The public names, in order, as they were when __init__ imported them eagerly.
+# The public names in the order of __all__: the error classes, then the
+# names of orders, gorenstein, conjugation and tilting, as _EXPORTS lists them.
 PUBLIC = [
     "AmbiguousNakayamaError", "DimensionMismatchError", "DomainError",
     "EquivarianceViolationError", "IndexOutOfRangeError", "InputFileError",
     "InvalidLatticeError", "NegativeCycleError", "NegativeDiagonalError",
     "NonSquareError", "NonzeroDiagonalError", "NotBijectiveError",
-    "NotCyclicError", "NotFloorTypeError", "NotGorensteinError",
-    "NotIntegralSumError", "NotNGradedError", "PositiveParameterError",
-    "TooLargeError", "TriangleViolationError", "ZeroWeightsError",
-    "ExponentMatrix", "OrderReport", "Permutation", "morita_shift",
-    "validate_order", "GorensteinData", "cyclic_order", "detect_gorenstein",
-    "shifted_parameters", "EquivariantData", "OrbitFold", "conjugate_data",
-    "conjugate_matrix", "cycle_sum", "equivariant_data", "find_negative_cycle",
-    "floor_align", "floor_profile", "fold_orbits", "is_floor_aligned",
-    "nonneg_conjugate", "normalize_equivariant", "order_equivariant_data",
-    "Quiver", "TiltingPoset", "cyclic_hasse_oracle", "endo_block_dim",
+    "NotCyclicError", "NotGorensteinError", "NotNGradedError",
+    "PositiveParameterError", "TooLargeError", "TriangleViolationError",
+    "ZeroWeightsError", "ExponentMatrix", "OrderReport", "Permutation",
+    "morita_shift", "validate_order", "GorensteinData", "cyclic_order",
+    "detect_gorenstein", "shifted_parameters", "EquivariantData",
+    "conjugate_data", "conjugate_matrix", "cycle_sum", "equivariant_data",
+    "find_negative_cycle", "floor_align", "nonneg_conjugate",
+    "normalize_equivariant", "order_equivariant_data", "Quiver",
+    "TiltingPoset", "cyclic_hasse_oracle", "endo_block_dim",
     "grothendieck_rank", "hasse_quiver", "hom_dim", "is_lattice_vector",
     "tilde_index_sets", "tilting_poset", "tilting_summands", "truncate_shift",
     "__version__",

@@ -29,8 +29,6 @@ from tiledorder import (
     equivariant_data,
     find_negative_cycle,
     floor_align,
-    fold_orbits,
-    is_floor_aligned,
     morita_shift,
     normalize_equivariant,
     order_equivariant_data,
@@ -40,7 +38,7 @@ from tiledorder import conjugation
 from tiledorder.orders import first_triangle_violation
 
 from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
-from helpers import power_images
+from helpers import is_floor_aligned, kernel_fold, power_images
 
 HUGE = 10**400
 
@@ -245,7 +243,7 @@ class TestFoldDifferential:
             m = relabeled_shifted_cyclic(rng, rng.randint(1, 9))
             ed = order_equivariant_data(m, detect_gorenstein(m))
             aligned = conjugate_data(ed, floor_align(ed))
-            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+            assert kernel_fold(aligned) == matrix_oracles.fold_orbits(aligned)
 
     def test_aligned_two_orbit_data(self):
         rng = random.Random(410)
@@ -253,11 +251,10 @@ class TestFoldDifferential:
             ed = two_orbit_data({x: rng.randint(-3, 3) for x in SYMBOLS})
             ed = conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)])
             aligned = conjugate_data(ed, floor_align(ed))
-            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+            assert kernel_fold(aligned) == matrix_oracles.fold_orbits(aligned)
 
-    def test_closed_form_needs_no_alignment(self, monkeypatch):
-        # with the gate lifted on both sides, the closed form and the power
-        # sum agree on unaligned data too
+    def test_closed_form_needs_no_alignment(self):
+        # the closed form and the power sum agree on unaligned data too
         rng = random.Random(411)
         data = []
         for _ in range(100):
@@ -269,10 +266,8 @@ class TestFoldDifferential:
             data.append(conjugate_data(ed, [rng.randint(-4, 4) for _ in range(ed.n)]))
         unaligned = [ed for ed in data if not is_floor_aligned(ed)]
         assert len(unaligned) > 60
-        monkeypatch.setattr(conjugation, "is_floor_aligned", lambda ed: True)
-        monkeypatch.setattr(matrix_oracles, "is_floor_aligned", lambda ed: True)
-        for ed in unaligned:
-            assert fold_orbits(ed) == matrix_oracles.fold_orbits(ed)
+        for ed in data:
+            assert kernel_fold(ed) == matrix_oracles.fold_orbits(ed)
 
 
 class TestEquivarianceScan:
@@ -464,7 +459,7 @@ class TestQuotientCriterion:
         for _ in range(600):
             lo = rng.choice((-3, -1, 0, 1))
             ed = random_equivariant(rng, lo, lo + rng.randint(0, 8))
-            fold = fold_orbits(conjugate_data(ed, floor_align(ed)))
+            fold = kernel_fold(conjugate_data(ed, floor_align(ed)))
             whole = find_negative_cycle(ed.matrix)
             quotient = find_negative_cycle(fold.block_min)
             assert (quotient is None) == (whole is None)
@@ -547,7 +542,7 @@ class TestConjugationKernels:
             ed = cyclic_data(rng, rng.randint(1, 8))
             ed = conjugate_data(ed, [rng.randint(-9, 9) * scale for _ in range(ed.n)])
             aligned = conjugate_data(ed, floor_align(ed))
-            assert fold_orbits(aligned) == matrix_oracles.fold_orbits(aligned)
+            assert kernel_fold(aligned) == matrix_oracles.fold_orbits(aligned)
 
     @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
     def test_block_min(self, scale):
