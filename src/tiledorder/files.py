@@ -186,9 +186,9 @@ def write_equivariant_file(path, ed: EquivariantData) -> None:
 
 def vector_label(vec: Vector) -> str:
     """Node label for an exponent vector; the zero vector is plain "0"."""
-    if all(x == 0 for x in vec):
+    if not any(vec):
         return "0"
-    return "(" + ",".join(str(x) for x in vec) + ")"
+    return "(" + ",".join(map(str, vec)) + ")"
 
 
 def quiver_dot(q: Quiver) -> str:

@@ -3,16 +3,14 @@
 A rank-one lattice over a tiled order is recorded by its exponent vector v,
 valid when v(j) <= min_i (v(i) + m(i,j)).  For a Gorenstein order with all
 parameters p_i <= 0, truncating the shifted projectives gives the finite
-poset of basic tilting summands: the vectors truncate_shift(row nu(i), j) for
-1 <= j <= -p_i together with the zero vector, ordered componentwise.  The
-Hasse quiver points from larger to smaller, so the zero vector is the unique
-sink.
+poset of basic tilting summands: the vectors truncate_shift(row nu(i), j),
+1 <= j <= -p_i, and the zero vector, ordered componentwise.  The Hasse
+quiver points from larger to smaller, so zero is the unique sink.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from itertools import groupby
+from collections.abc import Sequence
 from operator import add
 
 from .errors import (
@@ -26,22 +24,24 @@ from .errors import (
 from .gorenstein import GorensteinData, cyclic_order
 from .orders import ExponentMatrix, Record, Vector, first_negative, freeze_vector
 
-# Largest poset hasse_quiver accepts.  Its bitsets take k * k / 8 bytes, about
-# 50 MB at this size.
+# Largest poset hasse_quiver and `tiledorder quiver` accept.  It bounds the
+# quiver's k vertices and at most n * k arrows (one per line, or zero, below
+# each vertex), and the k * k / 8 bytes (50 MB) of the tests' bitset oracle.
 HASSE_LIMIT = 20_000
 # Largest k * n, summands times their length, that tilting_summands builds.
-# At this size `tiledorder tilting` peaks at about 235 MB of RSS for n = 2,
-# where each summand's own objects dominate, and at 26 MB for n = 100.
+# At this size `tiledorder tilting` peaks at about 170 MB of RSS for n = 2,
+# where each summand's own objects dominate, and at 24 MB for n = 100.
 TILTING_LIMIT = 1_000_000
+
+Slot = tuple[int, int]  # (s, i): row nu(s) truncated at i
+Labels = tuple[Slot, ...]
 
 
 def _lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> tuple[Vector, bool]:
     """v frozen, and whether it is the exponent vector of a rank-one lattice."""
     vec = freeze_vector(v)
     if len(vec) != m.n:
-        raise DimensionMismatchError(
-            f"vector has length {len(vec)}, expected {m.n}"
-        )
+        raise DimensionMismatchError(f"vector has length {len(vec)}, expected {m.n}")
     return vec, all(x <= min(map(add, vec, col)) for x, col in zip(vec, m.transpose()))
 
 
@@ -51,8 +51,7 @@ def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
 
 
 def _truncate(vec: Vector, j: int) -> Vector:
-    # max(x - j, 0) for every x; a list comprehension with no max call is
-    # the cheapest form, and _truncate runs once per tilting summand.
+    # max(x - j, 0) for every x, in the cheapest form: it runs once per summand
     return tuple([x - j if x > j else 0 for x in vec])
 
 
@@ -75,15 +74,6 @@ def hom_dim(m: ExponentMatrix, v: Sequence[int], w: Sequence[int], t: int) -> in
     return 1 if t >= max(b - a for a, b in zip(vv, ww)) else 0
 
 
-def _check_nonpositive(g: GorensteinData) -> None:
-    for i, pi in enumerate(g.p):
-        if pi > 0:
-            raise PositiveParameterError(
-                f"parameter p_{i} = {pi} > 0; the tilting poset is infinite",
-                witness=i,
-            )
-
-
 def _check_n_graded(m: ExponentMatrix) -> None:
     negative = first_negative(m.rows)
     if negative is not None:
@@ -94,20 +84,33 @@ def _check_n_graded(m: ExponentMatrix) -> None:
         )
 
 
+def _lines(m: ExponentMatrix, g: GorensteinData) -> list[list[Vector]]:
+    """lines[s][i - 1] = T(s, i), row nu(s) truncated at 1 <= i <= -p_s, built
+    after tilting_summands' checks, in its order."""
+    k = grothendieck_rank(g)  # PositiveParameterError first
+    if k * m.n > TILTING_LIMIT:
+        raise TooLargeError(
+            f"{k} summands of length {m.n} exceed the tilting limit of "
+            f"{TILTING_LIMIT} entries",
+            witness=k * m.n,
+        )
+    _check_n_graded(m)
+    rows = [m.row(i) for i in g.nu.images]
+    return [[_truncate(r, i) for i in range(1, 1 - p)] for r, p in zip(rows, g.p)]
+
+
 def tilting_summands(
     m: ExponentMatrix, g: GorensteinData
-) -> list[tuple[tuple[tuple[int, int], ...], Vector]]:
+) -> list[tuple[Labels, Vector]]:
     """Distinct tilting summand vectors with their (i, j) labels.
 
-    Enumerates truncate_shift(row nu(i), j) for 1 <= j <= -p_i + 1 in label
-    order; j = -p_i + 1 is the first truncation that collapses to zero, so the
-    zero vector appears once, carrying one label per index.  Nonzero vectors
-    are pairwise distinct lattice vectors, one label each: k = 1 - sum(p) in
-    all.  Requires all p_i <= 0, then k * n <= TILTING_LIMIT (TooLargeError,
-    witness k * n, before any summand is built), then an N-graded m
-    (NotNGradedError with the first negative entry in row-major order
-    otherwise), and g = detect_gorenstein(m) or cyclic_order's pair.  Why
-    none of the rest needs a check:
+    Lists truncate_shift(row nu(i), j), 1 <= j <= -p_i, in label order, and
+    after line 0 the zero vector with its n labels (i, -p_i + 1): k = 1 -
+    sum(p) vectors.  Requires all p_i <= 0, then k * n <= TILTING_LIMIT
+    (TooLargeError, witness k * n, before any summand is built), then an
+    N-graded m (NotNGradedError, witness the first negative entry in
+    row-major order), and g = detect_gorenstein(m) or cyclic_order's pair.
+    Why none of the rest needs a check:
     - m(nu(s), j) = ell_s - m(j, s) <= ell_s = 1 - p_s, equal at j = s.
     - (s, j) != (t, k) give different vectors: coordinate s differs if
       s = t; else equal coordinates s and t give m(s,t) + m(t,s) = 0, but a
@@ -115,41 +118,45 @@ def tilting_summands(
     - Rows of m, their shifts and (m being N-graded) zero are lattice
       vectors, and so is the componentwise max of two lattice vectors.
     """
-    n = m.n
-    k = grothendieck_rank(g)  # PositiveParameterError first
-    if k * n > TILTING_LIMIT:
-        raise TooLargeError(
-            f"{k} summands of length {n} exceed the tilting limit of "
-            f"{TILTING_LIMIT} entries",
-            witness=k * n,
-        )
-    _check_n_graded(m)
-    found: dict[Vector, list[tuple[int, int]]] = {}
-    order: list[Vector] = []
-    for s in range(n):
-        row = m.row(g.nu(s))
-        for j in range(1, -g.p[s] + 2):
-            vec = _truncate(row, j)
-            if vec not in found:
-                found[vec] = []
-                order.append(vec)
-            found[vec].append((s, j))
-    return [(tuple(found[vec]), vec) for vec in order]
+    lines = _lines(m, g)
+    out = [(((s, i),), v) for s, vs in enumerate(lines) for i, v in enumerate(vs, 1)]
+    out.insert(len(lines[0]), (_zero_labels(g), (0,) * m.n))
+    return out
+
+
+def _zero_labels(g: GorensteinData) -> Labels:
+    return tuple((s, 1 - p) for s, p in enumerate(g.p))
 
 
 class TiltingPoset(Record):
-    """The tilting summand vectors under the componentwise order."""
+    """The tilting summand vectors under the componentwise order.
+
+    Slot (s, i), 1 <= i <= lengths[s] = -p_s, holds T(s, i), row nu(s)
+    truncated at i, which is elements[ranks[s][i - 1]]; zero has rank 0.
+    steps[t][s] = M(t, s) = m(nu t, nu s): T(t, j) <= T(s, i) exactly when
+    j - i >= M(t, s) (see endo_block_dim).
+    """
 
     elements: tuple[Vector, ...]  # sorted lexicographically, zero first
-    labels: Mapping[Vector, tuple[tuple[int, int], ...]]
+    lengths: Vector
+    steps: tuple[Vector, ...]
+    ranks: tuple[Vector, ...]
 
 
 def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
     """The poset of tilting_summands' 1 - sum(p) vectors >= 0, least element 0."""
-    summands = tilting_summands(m, g)
-    elements = tuple(sorted(vec for _, vec in summands))
-    labels = {vec: labs for labs, vec in summands}
-    return TiltingPoset(elements=elements, labels=labels)
+    lines = _lines(m, g)
+    vecs = [(0,) * m.n] + [v for vs in lines for v in vs]  # distinct, slot order
+    order = sorted(range(len(vecs)), key=vecs.__getitem__)
+    # the ranks of vecs[1:] in turn: order[0] = 0, so order's inverse on 1..k-1
+    rank = iter(sorted(range(1, len(vecs)), key=order.__getitem__))
+    nu = g.nu.images
+    return TiltingPoset(
+        elements=tuple([vecs[j] for j in order]),
+        lengths=tuple([-p for p in g.p]),
+        steps=tuple(tuple([m.rows[t][s] for s in nu]) for t in nu),
+        ranks=tuple(tuple(next(rank) for _ in line) for line in lines),
+    )
 
 
 class Quiver(Record):
@@ -176,63 +183,63 @@ def check_hasse_size(k: int) -> None:
 def hasse_quiver(poset: TiltingPoset) -> Quiver:
     """Cover arrows of the poset, drawn from larger to smaller element.
 
-    below[i] is the bitset of the elements u <= els[i], i itself included: the
-    AND over coordinates c of {u : u_c <= els[i]_c}, where one sort per
-    coordinate gives every such prefix set.  The elements are sorted
-    lexicographically, and the lexicographic order extends the componentwise
-    one, so the highest bit j of below[i] minus i is maximal below els[i]:
-    i -> j is a cover.  Clearing below[j] and repeating finds every cover of i
-    and nothing else, a transitive reduction (Aho, Garey and Ullman, 1972).
-    That is O(k * n + arrows) big-int operations on k-bit integers and k * k / 8
-    bytes of bitsets; posets above HASSE_LIMIT elements raise TooLargeError.
+    Read off the slot labels (notation of TiltingPoset, L_s = lengths[s]).
+    By its order rule, the largest slot of line t below (s, i) is
+    c_t = (t, i + M(t, s)), or (s, i + 1) for t = s, if i <= E_s(t) =
+    L_t - M(t, s), or L_s - 1 for t = s; zero lies below all.  So (s, i)
+    covers the maximal c_t, or zero if i > max_t E_s(t).  For all i and
+    distinct t, u, s: c_t <= c_u iff M(t, u) + M(u, s) = M(t, s) (>= by the
+    triangle inequality), say u dominates t; c_t <= c_s needs -1 >= 0; c_s <=
+    c_u iff M(s, u) + M(u, s) = 1 (>= 1 as m is basic), say u dominates s.
+    As m(nu t, nu s) = m(t, s) + p_s - p_t (detect_gorenstein), E_s(t) =
+    L_s - m(t, s) <= L_s for t != s, and a u dominating t has m(u, s) <=
+    m(t, s), or m(u, s) <= 1 if t = s, so E_s(u) >= E_s(t).  Hence line t
+    gives a cover of every (s, i) with i <= E_s(t) if nothing dominates t,
+    else none.  Cost: O(n^3) small-int operations, O(arrows) rank slices and
+    one sort of rank pairs, the arrows' order as the elements are sorted.
+    Posets above HASSE_LIMIT elements raise TooLargeError.
     """
     els = poset.elements
     k = len(els)
     check_hasse_size(k)
-    below = [-1] * k
-    for column in zip(*els):
-        mask = 0
-        by_value = sorted(range(k), key=column.__getitem__)
-        for _, group in groupby(by_value, key=column.__getitem__):
-            group = list(group)
-            for j in group:
-                mask |= 1 << j
-            for j in group:
-                below[j] &= mask
-    arrows = []
-    for i, v in enumerate(els):
-        covers = []
-        cand = below[i] ^ (1 << i)
-        while cand:
-            j = cand.bit_length() - 1
-            covers.append((v, els[j]))
-            cand &= ~below[j]
-        arrows.extend(reversed(covers))  # ascending (i, j) is the sorted order
-    return Quiver(vertices=els, arrows=tuple(arrows))
+    lengths, steps, ranks = poset.lengths, poset.steps, poset.ranks
+    codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
+    for s, (size, here) in enumerate(zip(lengths, ranks)):
+        col = [row[s] for row in steps]
+        if 1 not in map(add, steps[s], col):  # nothing dominates s
+            codes += [a * k + b for a, b in zip(here, here[1:])]
+        ends = [x - y for x, y in zip(lengths, col)]  # E_s(t)
+        ends[s] = 0  # line s is done above
+        for t, end in enumerate(ends):
+            # s and t always pass: M(t, s) + M(s, s) = M(t, t) + M(t, s)
+            if end > 0 and list(map(add, steps[t], col)).count(col[t]) == 2:
+                there = ranks[t][col[t]:end + col[t]]
+                codes += [a * k + b for a, b in zip(here[:end], there)]
+        if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero
+            codes.append(here[-1] * k)
+    codes.sort()
+    arrows = tuple([(els[c // k], els[c % k]) for c in codes])
+    return Quiver(vertices=els, arrows=arrows)
 
 
 def grothendieck_rank(g: GorensteinData) -> int:
     """Number of tilting summands, 1 - sum(p); requires all p_i <= 0."""
-    _check_nonpositive(g)
+    for i, pi in enumerate(g.p):
+        if pi > 0:
+            raise PositiveParameterError(
+                f"parameter p_{i} = {pi} > 0; the tilting poset is infinite", witness=i
+            )
     return 1 - sum(g.p)
 
 
-def tilde_index_sets(
-    g: GorensteinData,
-) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
+def tilde_index_sets(g: GorensteinData) -> tuple[frozenset[Slot], frozenset[Slot]]:
     """Index pairs of the endomorphism blocks: proper truncations and zero slots."""
-    proper = frozenset(
-        (s, i) for s in range(g.n) for i in range(1, -g.p[s] + 1)
-    )
-    zero_slots = frozenset((s, -g.p[s] + 1) for s in range(g.n))
-    return proper, zero_slots
+    proper = frozenset((s, i) for s in range(g.n) for i in range(1, -g.p[s] + 1))
+    return proper, frozenset(_zero_labels(g))
 
 
 def endo_block_dim(
-    m: ExponentMatrix,
-    g: GorensteinData,
-    source: tuple[int, int],
-    target: tuple[int, int],
+    m: ExponentMatrix, g: GorensteinData, source: Slot, target: Slot
 ) -> int:
     """Dimension of the endomorphism-algebra block between two summand slots.
 
@@ -245,7 +252,7 @@ def endo_block_dim(
     w <= v by the triangle inequality; if w <= v, coordinate t gives
     ell_t - j <= m(nu s, t) - i, and ell_t - m(nu s, t) = m(nu t, nu s).
     """
-    _check_nonpositive(g)
+    grothendieck_rank(g)  # PositiveParameterError
     _check_n_graded(m)
     proper, zero_slots = tilde_index_sets(g)
     for slot in (source, target):
@@ -253,35 +260,28 @@ def endo_block_dim(
             raise IndexOutOfRangeError(
                 f"slot {slot} is outside the summand index set", witness=list(slot)
             )
-    s, i = source
-    t, j = target
-    if target in zero_slots:
-        return 1
-    if source in zero_slots:
-        return 0
-    return 1 if j - i >= m.entry(g.nu(t), g.nu(s)) else 0
+    (s, i), (t, j) = source, target
+    if target in zero_slots or source in zero_slots:
+        return int(target in zero_slots)
+    return int(j - i >= m.entry(g.nu(t), g.nu(s)))
 
 
 def cyclic_hasse_oracle(weights: Sequence[int]) -> Quiver:
     """The Hasse quiver of a cyclic order, built from the closed-form rules.
 
-    Vertices are (rho, j) pairs plus zero.  The line at row rho holds
-    -p[(rho-1) mod n] vertices, p <= 0 the parameters of
-    cyclic_order(weights).  Arrows:
+    Vertices are zero and the pairs (rho, j), 1 <= j <= -p[(rho-1) mod n], p
+    <= 0 the parameters of cyclic_order(weights).  Arrows:
       (a) (rho, j) -> (rho, j+1) when the target exists;
       (b) (rho, j) -> ((rho-1) mod n, j + w[(rho-1) mod n]) for
           1 <= j <= -p[(rho-2) mod n] - w[(rho-1) mod n];
       (c) the last vertex of each line points to zero.
-
-    Independent of the cover computation: the rules name vertices by (rho, j),
-    and each vertex is translated once, to the truncation of row rho at j;
-    the arrows are mapped through that table, so the whole quiver costs k +
-    arrows tuple operations of length n.  Line rho holds the proper tilting
-    summands of index rho - 1, so the translated vertices are distinct (see
-    tilting_summands).
+    Independent of the cover computation, each (rho, j) is translated once,
+    to row rho truncated at j (the proper summand (rho - 1, j), so they are
+    distinct), and the arrows are mapped through that table: k + arrows
+    tuple operations of length n.
     """
     m, g = cyclic_order(weights)
-    _check_nonpositive(g)
+    grothendieck_rank(g)  # PositiveParameterError
     w, n = tuple(weights), m.n
     line = [-g.p[(rho - 1) % n] for rho in range(n)]
     vector = {

@@ -2,8 +2,8 @@
 
 The package itself never needs the identity permutation, the images of a
 permutation power, the boolean form of the negative-cycle test, floor
-profiles or the floor-alignment test, so they live here, built on the
-package's public API.  `kernel_fold` is the one exception: it runs the
+profiles, the floor-alignment test or product orders, so they live here,
+built on the package's public API.  `kernel_fold` is the one exception: it runs the
 private closed-form fold kernel of `tiledorder.conjugation`, which tests
 compare with the power-sum fold of `matrix_oracles`.
 """
@@ -13,7 +13,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from tiledorder import EquivariantData, Permutation, find_negative_cycle
+from tiledorder import (
+    EquivariantData,
+    ExponentMatrix,
+    Permutation,
+    cyclic_order,
+    find_negative_cycle,
+    morita_shift,
+)
 from tiledorder import conjugation
 from tiledorder.orders import Rows, Vector
 
@@ -63,6 +70,29 @@ def is_floor_aligned(ed: EquivariantData) -> bool:
         if not any(profile == target[t:] + target[:t] for t in range(nx)):
             return False
     return True
+
+
+def product_order(
+    w1: Sequence[int],
+    w2: Sequence[int],
+    labels: Sequence[int] | None = None,
+    shift: Sequence[int] | None = None,
+) -> ExponentMatrix:
+    """The product of the cyclic orders of weights w1 and w2, relabelled and shifted.
+
+    On pairs, m((a,b),(c,d)) = m1(a,c) + m2(b,d).  Pair (a, b) is number
+    a * len(w2) + b, index x carries pair number labels[x] (identity by
+    default), and the result is morita_shift by shift (zero by default).
+    Every property adds termwise, so the unshifted product is basic
+    Gorenstein with nu = nu1 x nu2 and p = p1 + p2 - 1 on pairs; cyclic
+    factors of lengths a and b give gcd(a, b) orbits of length lcm(a, b).
+    """
+    m1, _ = cyclic_order(w1)
+    m2, _ = cyclic_order(w2)
+    n = m1.n * m2.n
+    pairs = [divmod(x, m2.n) for x in (range(n) if labels is None else labels)]
+    rows = [[m1.entry(a, c) + m2.entry(b, d) for c, d in pairs] for a, b in pairs]
+    return morita_shift(ExponentMatrix.from_rows(rows), shift or (0,) * n)
 
 
 class Fold(NamedTuple):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from tiledorder import (
 )
 
 from equivariant_templates import two_orbit_order
+from helpers import product_order
 from test_orders import CYCLIC_1111, metric_orders, shifted_cyclic
 
 
@@ -113,6 +115,46 @@ class TestDetect:
         for i in range(n):
             for j in range(n):
                 assert m.entry(g.nu(i), g.nu(j)) == m.entry(i, j) + g.p[j] - g.p[i]
+
+
+class TestProductOrders:
+    def test_detection_is_the_product(self):
+        # nu = nu1 x nu2 and p = p1 + p2 - 1 on pairs, carried through the
+        # relabelling and the shift: p'(x) = p(x) + s(x) - s(nu x)
+        rng = random.Random(41)
+        multi = 0
+        for _ in range(300):
+            w1 = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+            w2 = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+            if not any(w1) or not any(w2):
+                continue
+            _, g1 = cyclic_order(w1)
+            _, g2 = cyclic_order(w2)
+            n2 = len(w2)
+            n = len(w1) * n2
+            labels = rng.sample(range(n), n)
+            shift = None
+            if rng.random() < 0.5:
+                shift = [rng.randint(-2, 2) for _ in range(n)]
+            g = detect_gorenstein(product_order(w1, w2, labels, shift))
+            index = {x: i for i, x in enumerate(labels)}
+            s = shift or [0] * n
+            for i, x in enumerate(labels):
+                a, b = divmod(x, n2)
+                assert g.nu(i) == index[g1.nu(a) * n2 + g2.nu(b)]
+                assert g.p[i] == g1.p[a] + g2.p[b] - 1 + s[i] - s[g.nu(i)]
+            orbits = len(g.nu.orbits())
+            assert orbits == math.gcd(len(w1), n2)
+            multi += orbits > 1
+        assert multi > 50
+
+    def test_unshifted_product_in_index_order(self):
+        # (1, 1) x (1, 1): pairs 0 = (0,0), 1 = (0,1), 2 = (1,0), 3 = (1,1)
+        m = product_order((1, 1), (1, 1))
+        assert m.rows == ((0, 1, 1, 2), (1, 0, 2, 1), (1, 2, 0, 1), (2, 1, 1, 0))
+        g = detect_gorenstein(m)
+        assert g.nu.images == (3, 2, 1, 0)
+        assert g.p == (-1, -1, -1, -1)  # p1 = p2 = (0, 0)
 
 
 class TestShiftedParameters:

@@ -32,7 +32,8 @@ from tiledorder import tilting
 from tiledorder.tilting import HASSE_LIMIT
 
 from equivariant_templates import two_orbit_order
-from hasse_oracle import pairwise_hasse_quiver
+from hasse_oracle import bitset_hasse_quiver, leq, pairwise_hasse_quiver
+from helpers import product_order
 from test_orders import shifted_cyclic, weights_strategy
 
 M4, G4 = cyclic_order((1, 1, 1, 1))
@@ -84,6 +85,38 @@ def n_graded_gorenstein_orders(seed, count):
         if m.is_n_graded and all(x <= 0 for x in g.p):
             out.append((m, g))
     return out
+
+
+def relabeled(m, o):
+    """m'(i,j) = m(o(i), o(j))."""
+    return ExponentMatrix.from_rows([[m.entry(a, b) for b in o] for a in o])
+
+
+def product_orders(seed, count, orbits):
+    """Seeded N-graded relabelled, shifted products of two cyclic orders
+    with all p_i <= 0, all with several orbits or all with one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        shapes = ((2, 2), (2, 4), (4, 2), (3, 3)) if orbits > 1 else ((2, 3), (3, 2))
+        n1, n2 = rng.choice(shapes)
+        w1 = tuple(rng.randint(0, 2) for _ in range(n1))
+        w2 = tuple(rng.randint(0, 2) for _ in range(n2))
+        if not any(w1) or not any(w2):
+            continue
+        n = n1 * n2
+        shift = [rng.randint(-1, 1) for _ in range(n)]
+        m = product_order(w1, w2, rng.sample(range(n), n), shift)
+        g = detect_gorenstein(m)
+        if m.is_n_graded and all(x <= 0 for x in g.p):
+            out.append((m, g))
+    return out
+
+
+def assert_covers_match(m, g):
+    poset = tilting_poset(m, g)
+    q = hasse_quiver(poset)
+    assert q == bitset_hasse_quiver(poset) == pairwise_hasse_quiver(poset), m
 
 
 def literal_lattice_vector(m, v):
@@ -260,6 +293,22 @@ class TestPoset:
             assert elements[0] == (0,) * m.n
             assert all(x >= 0 for vec in elements for x in vec)
 
+    def test_slot_record(self):
+        orders = n_graded_gorenstein_orders(36, 60) + product_orders(37, 20, orbits=2)
+        for m, g in orders:
+            poset = tilting_poset(m, g)
+            nu = g.nu.images
+            assert poset.lengths == tuple(-p for p in g.p)
+            assert poset.steps == tuple(tuple(m.entry(a, b) for b in nu) for a in nu)
+            assert sorted(poset.elements) == list(poset.elements)
+            slots = [(s, i) for s in range(m.n) for i in range(1, 1 - g.p[s])]
+            assert sorted(r for line in poset.ranks for r in line) == list(
+                range(1, len(poset.elements))
+            )
+            for s, i in slots:
+                vec = truncate_shift(m.row(nu[s]), i)
+                assert poset.elements[poset.ranks[s][i - 1]] == vec
+
     def test_rank(self):
         _, g = cyclic_order((2, 1, 1, 1))
         assert grothendieck_rank(g) == 12
@@ -341,8 +390,7 @@ class TestHasse:
             m, g = cyclic_order(w)
             if any(x > 0 for x in g.p):
                 continue
-            poset = tilting_poset(m, g)
-            assert hasse_quiver(poset) == pairwise_hasse_quiver(poset), w
+            assert_covers_match(m, g)
             checked += 1
 
     def test_matches_pairwise_oracle_morita_shifted(self):
@@ -358,13 +406,51 @@ class TestHasse:
             g = detect_gorenstein(shifted)
             if not shifted.is_n_graded or any(x > 0 for x in g.p):
                 continue
-            poset = tilting_poset(shifted, g)
-            assert hasse_quiver(poset) == pairwise_hasse_quiver(poset), (w, shifted)
+            assert_covers_match(shifted, g)
             checked += 1
 
+    def test_matches_oracles_relabeled_shifted(self):
+        rng = random.Random(9)
+        checked = 0
+        while checked < 100:
+            n = rng.randint(2, 6)
+            w = tuple(rng.randint(0, 3) for _ in range(n))
+            if not any(w):
+                continue
+            m, _ = cyclic_order(w)
+            m = relabeled(
+                morita_shift(m, [rng.randint(-2, 2) for _ in range(n)]),
+                rng.sample(range(n), n),
+            )
+            g = detect_gorenstein(m)
+            if not m.is_n_graded or any(x > 0 for x in g.p):
+                continue
+            assert_covers_match(m, g)
+            checked += 1
+
+    def test_matches_oracles_two_orbit_shifts(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            m = morita_shift(two_orbit_order(), [rng.randint(0, 1) for _ in range(10)])
+            g = detect_gorenstein(m)
+            assert m.is_n_graded and len(g.nu.orbits()) == 2
+            assert_covers_match(m, g)
+
+    def test_matches_oracles_products(self):
+        multi = product_orders(12, 110, orbits=2)
+        single = product_orders(13, 40, orbits=1)
+        assert all(len(g.nu.orbits()) > 1 for _, g in multi)
+        assert all(len(g.nu.orbits()) == 1 for _, g in single)
+        for m, g in multi + single:
+            assert_covers_match(m, g)
+
     def test_size_limit(self):
+        # one line of HASSE_LIMIT slots over one point, a chain down to zero
         poset = TiltingPoset(
-            elements=tuple((x,) for x in range(HASSE_LIMIT + 1)), labels={}
+            elements=tuple((x,) for x in range(HASSE_LIMIT + 1)),
+            lengths=(HASSE_LIMIT,),
+            steps=((0,),),
+            ranks=(tuple(range(HASSE_LIMIT, 0, -1)),),
         )
         with pytest.raises(TooLargeError) as ei:
             hasse_quiver(poset)
@@ -423,6 +509,16 @@ class TestEndoBlocks:
         proper, zero_slots = tilde_index_sets(G4)
         assert proper == {(s, j) for s in range(4) for j in (1, 2)}
         assert zero_slots == {(s, 3) for s in range(4)}
+
+    def test_is_the_componentwise_order(self):
+        # hasse_quiver rests on this: T(t,j) <= T(s,i) iff j - i >= M(t,s)
+        orders = n_graded_gorenstein_orders(34, 30) + product_orders(35, 10, orbits=2)
+        for m, g in orders:
+            proper, _ = tilde_index_sets(g)
+            vec = {(s, i): truncate_shift(m.row(g.nu(s)), i) for s, i in proper}
+            for a in proper:
+                for b in proper:
+                    assert endo_block_dim(m, g, a, b) == leq(vec[b], vec[a]), (m, a, b)
 
     def test_agrees_with_hom_dim(self):
         for m, g in [(M4, G4)] + n_graded_gorenstein_orders(33, 24):
