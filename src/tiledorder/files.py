@@ -185,18 +185,24 @@ def write_equivariant_file(path, ed: EquivariantData) -> None:
 
 
 def vector_label(vec: Vector) -> str:
-    """Node label for an exponent vector; the zero vector is plain "0"."""
+    """Node label for an exponent vector: "(2,0,1)", and plain "0" for zero."""
     if not any(vec):
         return "0"
-    return "(" + ",".join(map(str, vec)) + ")"
+    return repr(vec).replace(" ", "").replace(",)", ")")  # a 1-tuple reads "(x,)"
 
 
 def quiver_dot(q: Quiver) -> str:
-    """Deterministic DOT text: vertices then arrows, in their sorted order."""
-    label = {v: vector_label(v) for v in q.vertices}
+    """Deterministic DOT text: vertices then arrows, in their sorted order.
+
+    Each vertex is labelled once; an arrow end is the vertex object it equals
+    (see Quiver), so its label is found by identity without hashing the
+    vector.  Cost: one repr per vertex and one line per arrow.
+    """
+    labels = list(map(vector_label, q.vertices))
+    label = dict(zip(map(id, q.vertices), labels))
     lines = ["digraph hasse {"]
-    lines.extend(f'  "{label[v]}";' for v in q.vertices)
-    lines.extend(f'  "{label[a]}" -> "{label[b]}";' for a, b in q.arrows)
+    lines += [f'  "{s}";' for s in labels]
+    lines += [f'  "{label[id(a)]}" -> "{label[id(b)]}";' for a, b in q.arrows]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -160,16 +160,33 @@ def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
 
 
 class Quiver(Record):
-    """A finite quiver: sorted vertices, sorted distinct arrows, else ValueError."""
+    """A finite quiver: sorted vertices, sorted distinct arrows, else ValueError.
+
+    Each arrow end is stored as the vertex object it equals, so the ends can
+    be looked up by identity (see files.quiver_dot).
+    """
 
     vertices: tuple
     arrows: tuple
 
     def __init__(self, vertices: tuple, arrows: tuple):
-        ends = {v for arrow in arrows for v in arrow}
-        if len(set(arrows)) < len(arrows) or ends - set(vertices):
+        same = {v: v for v in vertices}
+        try:
+            arrows = tuple([(same[a], same[b]) for a, b in arrows])
+            distinct = len(set(arrows)) == len(arrows)
+        except KeyError:  # an end that is not a vertex
+            distinct = False
+        if not distinct:
             raise ValueError("arrows must be distinct pairs of vertices")
         super().__init__(vertices, arrows)
+
+    @classmethod
+    def _built(cls, vertices: tuple, arrows: tuple) -> Quiver:
+        """The quiver without __init__'s check, for arrows that the caller
+        proves distinct and whose ends are objects of vertices."""
+        q = cls.__new__(cls)
+        Record.__init__(q, vertices, arrows)
+        return q
 
 
 def check_hasse_size(k: int) -> None:
@@ -195,9 +212,14 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     L_s - m(t, s) <= L_s for t != s, and a u dominating t has m(u, s) <=
     m(t, s), or m(u, s) <= 1 if t = s, so E_s(u) >= E_s(t).  Hence line t
     gives a cover of every (s, i) with i <= E_s(t) if nothing dominates t,
-    else none.  Cost: O(n^3) small-int operations, O(arrows) rank slices and
-    one sort of rank pairs, the arrows' order as the elements are sorted.
-    Posets above HASSE_LIMIT elements raise TooLargeError.
+    else none.  Quiver's check cannot fail, so it is skipped: line t gives
+    (s, i) at most one target, slots on different lines hold different
+    elements (see tilting_summands) and zero is none of them, so the rank-pair
+    codes are distinct; every rank lies in [0, k), so each code names two
+    objects of elements.  Cost: O(n^3) small-int operations, O(arrows) rank
+    slices, one sort of rank pairs (the arrows' order, as the elements are
+    sorted) and no hashing of vectors.  Posets above HASSE_LIMIT elements
+    raise TooLargeError.
     """
     els = poset.elements
     k = len(els)
@@ -218,8 +240,7 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
         if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero
             codes.append(here[-1] * k)
     codes.sort()
-    arrows = tuple([(els[c // k], els[c % k]) for c in codes])
-    return Quiver(vertices=els, arrows=arrows)
+    return Quiver._built(els, tuple([(els[c // k], els[c % k]) for c in codes]))
 
 
 def grothendieck_rank(g: GorensteinData) -> int:

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from tiledorder import InputFileError, cyclic_order, hasse_quiver, tilting_poset
+from tiledorder import (
+    InputFileError,
+    Quiver,
+    cyclic_order,
+    hasse_quiver,
+    tilting_poset,
+)
 from tiledorder.files import (
     OrderSource,
     equivariant_file_text,
@@ -18,6 +24,51 @@ from tiledorder.files import (
 )
 
 from test_orders import CYCLIC_1111
+from test_tilting import hasse_corpus
+
+
+# The earlier label and DOT code, kept as the oracle for the emitter: map(str)
+# over the entries, and a label dict keyed by vector.
+def oracle_vector_label(vec) -> str:
+    if not any(vec):
+        return "0"
+    return "(" + ",".join(map(str, vec)) + ")"
+
+
+def oracle_quiver_dot(q: Quiver) -> str:
+    label = {v: oracle_vector_label(v) for v in q.vertices}
+    lines = ["digraph hasse {"]
+    lines.extend(f'  "{label[v]}";' for v in q.vertices)
+    lines.extend(f'  "{label[a]}" -> "{label[b]}";' for a, b in q.arrows)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def twin(v):
+    """A vector equal to v that is another object."""
+    return tuple(list(v))
+
+
+# Quivers by hand, arrow ends equal to vertices but other objects: empty, one
+# non-zero vertex, length one, mixed lengths, negative and large entries.
+HAND_QUIVERS = [
+    Quiver((), ()),
+    Quiver(((1, 2),), ()),
+    Quiver(((0, 0),), ()),
+    Quiver(((0,), (1,), (2,)), ((twin((1,)), twin((0,))), (twin((2,)), twin((1,))))),
+    Quiver(
+        ((), (0,), (0, 0), (1,), (1, 2), (3, 0, 1)),
+        ((twin((1, 2)), twin((0, 0))), (twin((3, 0, 1)), twin(())), ((1,), (0,))),
+    ),
+    Quiver(
+        ((-3, 0), (-1, 2), (0, 0), (2, -5), (10**20, -1)),
+        (
+            (twin((-1, 2)), twin((-3, 0))),
+            (twin((2, -5)), twin((0, 0))),
+            (twin((10**20, -1)), twin((2, -5))),
+        ),
+    ),
+]
 
 DOT_1111 = """digraph hasse {
   "0";
@@ -49,6 +100,9 @@ class TestLabels:
     def test_vector_label(self):
         assert vector_label((0, 0, 0)) == "0"
         assert vector_label((2, 0, 0, 1)) == "(2,0,0,1)"
+        assert vector_label((5,)) == "(5)"
+        assert vector_label((-1, 0)) == "(-1,0)"
+        assert vector_label(()) == "0"
 
     def test_rational_str(self):
         assert rational_str(Fraction(-2)) == "-2"
@@ -61,6 +115,17 @@ def test_dot_golden():
     m, g = cyclic_order((1, 1, 1, 1))
     q = hasse_quiver(tilting_poset(m, g))
     assert quiver_dot(q) == DOT_1111
+
+
+def test_dot_matches_oracle_on_hasse_corpus():
+    for m, g in hasse_corpus():
+        q = hasse_quiver(tilting_poset(m, g))
+        assert quiver_dot(q) == oracle_quiver_dot(q), m
+
+
+@pytest.mark.parametrize("q", HAND_QUIVERS)
+def test_dot_matches_oracle_on_hand_quivers(q):
+    assert quiver_dot(q) == oracle_quiver_dot(q)
 
 
 class TestOrderFiles:

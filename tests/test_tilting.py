@@ -113,6 +113,89 @@ def product_orders(seed, count, orbits):
     return out
 
 
+def zero_weight_orders():
+    """150 seeded cyclic orders with a zero weight and all p_i <= 0."""
+    rng = random.Random(7)
+    out = []
+    while len(out) < 150:
+        w = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 6)))
+        if 0 not in w or not any(w):
+            continue
+        m, g = cyclic_order(w)
+        if any(x > 0 for x in g.p):
+            continue
+        out.append((m, g))
+    return out
+
+
+def morita_shifted_orders():
+    """100 seeded N-graded Morita shifts of cyclic orders with all p_i <= 0."""
+    rng = random.Random(8)
+    out = []
+    while len(out) < 100:
+        n = rng.randint(2, 6)
+        w = tuple(rng.randint(0, 3) for _ in range(n))
+        if not any(w):
+            continue
+        m, _ = cyclic_order(w)
+        shifted = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
+        g = detect_gorenstein(shifted)
+        if not shifted.is_n_graded or any(x > 0 for x in g.p):
+            continue
+        out.append((shifted, g))
+    return out
+
+
+def relabeled_shifted_orders():
+    """100 seeded relabelled N-graded Morita shifts of cyclic orders."""
+    rng = random.Random(9)
+    out = []
+    while len(out) < 100:
+        n = rng.randint(2, 6)
+        w = tuple(rng.randint(0, 3) for _ in range(n))
+        if not any(w):
+            continue
+        m, _ = cyclic_order(w)
+        m = relabeled(
+            morita_shift(m, [rng.randint(-2, 2) for _ in range(n)]),
+            rng.sample(range(n), n),
+        )
+        g = detect_gorenstein(m)
+        if not m.is_n_graded or any(x > 0 for x in g.p):
+            continue
+        out.append((m, g))
+    return out
+
+
+def two_orbit_shifts():
+    """20 seeded Morita shifts of the two-orbit order, with their data."""
+    rng = random.Random(10)
+    out = []
+    for _ in range(20):
+        m = morita_shift(two_orbit_order(), [rng.randint(0, 1) for _ in range(10)])
+        out.append((m, detect_gorenstein(m)))
+    return out
+
+
+# positive weights, where cyclic_hasse_oracle describes the covers
+CYCLIC_WEIGHTS = [
+    (1, 1, 1, 1), (1, 1), (2, 1), (1, 2), (1, 2, 3), (3, 1), (2, 2, 2), (1, 1, 1, 1, 1),
+]
+
+
+def hasse_corpus():
+    """Every order whose Hasse quiver the cover tests check, with its data."""
+    return (
+        [cyclic_order(w) for w in CYCLIC_WEIGHTS]
+        + zero_weight_orders()
+        + morita_shifted_orders()
+        + relabeled_shifted_orders()
+        + two_orbit_shifts()
+        + product_orders(12, 110, orbits=2)
+        + product_orders(13, 40, orbits=1)
+    )
+
+
 def assert_covers_match(m, g):
     poset = tilting_poset(m, g)
     q = hasse_quiver(poset)
@@ -352,7 +435,7 @@ class TestHasse:
         )
 
     def test_oracle_match_various(self):
-        for w in [(1, 1), (2, 1), (1, 2), (1, 2, 3), (3, 1), (2, 2, 2), (1, 1, 1, 1, 1)]:
+        for w in CYCLIC_WEIGHTS:
             m, g = cyclic_order(w)
             assert cyclic_hasse_oracle(w) == hasse_quiver(tilting_poset(m, g))
 
@@ -381,58 +464,19 @@ class TestHasse:
     def test_matches_pairwise_oracle_zero_weights(self):
         # cyclic_hasse_oracle does not describe covers once a weight is zero,
         # so the direct pairwise computation is the reference here
-        rng = random.Random(7)
-        checked = 0
-        while checked < 150:
-            w = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 6)))
-            if 0 not in w or not any(w):
-                continue
-            m, g = cyclic_order(w)
-            if any(x > 0 for x in g.p):
-                continue
+        for m, g in zero_weight_orders():
             assert_covers_match(m, g)
-            checked += 1
 
     def test_matches_pairwise_oracle_morita_shifted(self):
-        rng = random.Random(8)
-        checked = 0
-        while checked < 100:
-            n = rng.randint(2, 6)
-            w = tuple(rng.randint(0, 3) for _ in range(n))
-            if not any(w):
-                continue
-            m, _ = cyclic_order(w)
-            shifted = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
-            g = detect_gorenstein(shifted)
-            if not shifted.is_n_graded or any(x > 0 for x in g.p):
-                continue
-            assert_covers_match(shifted, g)
-            checked += 1
+        for m, g in morita_shifted_orders():
+            assert_covers_match(m, g)
 
     def test_matches_oracles_relabeled_shifted(self):
-        rng = random.Random(9)
-        checked = 0
-        while checked < 100:
-            n = rng.randint(2, 6)
-            w = tuple(rng.randint(0, 3) for _ in range(n))
-            if not any(w):
-                continue
-            m, _ = cyclic_order(w)
-            m = relabeled(
-                morita_shift(m, [rng.randint(-2, 2) for _ in range(n)]),
-                rng.sample(range(n), n),
-            )
-            g = detect_gorenstein(m)
-            if not m.is_n_graded or any(x > 0 for x in g.p):
-                continue
+        for m, g in relabeled_shifted_orders():
             assert_covers_match(m, g)
-            checked += 1
 
     def test_matches_oracles_two_orbit_shifts(self):
-        rng = random.Random(10)
-        for _ in range(20):
-            m = morita_shift(two_orbit_order(), [rng.randint(0, 1) for _ in range(10)])
-            g = detect_gorenstein(m)
+        for m, g in two_orbit_shifts():
             assert m.is_n_graded and len(g.nu.orbits()) == 2
             assert_covers_match(m, g)
 
@@ -455,6 +499,22 @@ class TestHasse:
         with pytest.raises(TooLargeError) as ei:
             hasse_quiver(poset)
         assert ei.value.witness == HASSE_LIMIT + 1
+
+    def test_validating_constructor_accepts_every_result(self):
+        # hasse_quiver skips Quiver's check, whose conditions its docstring
+        # proves; the check itself must agree on every poset of the corpus
+        for m, g in hasse_corpus():
+            q = hasse_quiver(tilting_poset(m, g))
+            ids = set(map(id, q.vertices))
+            assert all(id(a) in ids and id(b) in ids for a, b in q.arrows), m
+            assert Quiver(q.vertices, q.arrows) == q, m
+
+    def test_quiver_stores_ends_as_vertices(self):
+        vertices = ((0, 0), (1, 1))
+        arrow = (tuple([1, 1]), tuple([0, 0]))  # equal to vertices, other objects
+        q = Quiver(vertices, (arrow,))
+        assert q.arrows == (arrow,)
+        assert q.arrows[0][0] is vertices[1] and q.arrows[0][1] is vertices[0]
 
     def test_quiver_validates_endpoints(self):
         with pytest.raises(ValueError):
