@@ -11,7 +11,7 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
 from .orders import check_shift, conjugate_rows, freeze_rows
+
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     rows = freeze_rows(matrix)
@@ -271,21 +272,16 @@ def _fold_shift(twist: Vector, orbits: tuple[Vector, ...], g: int) -> list[int]:
     return c
 
 
-def _fold_rows(matrix: Rows, c: Sequence[int], g: int) -> Iterator[Vector]:
-    """The rows g * m(i,j) + c(i) - c(j) of the fold, one at a time."""
-    for row, ci in zip(matrix, c):
-        yield tuple([g * x + ci - cj for x, cj in zip(row, c)])
-
-
-def _block_min(rows: Iterable[Vector], orbits: tuple[Vector, ...]) -> Rows:
-    """Orbit-by-orbit minima of rows given in index order, in one pass."""
-    orbit_of = {i: x for x, orbit in enumerate(orbits) for i in orbit}
-    best: list[list[int] | None] = [None] * len(orbits)
-    for i, row in enumerate(rows):
-        x = orbit_of[i]
-        mins = [min([row[j] for j in oy]) for oy in orbits]
-        best[x] = mins if best[x] is None else list(map(min, best[x], mins))
-    return tuple(map(tuple, best))
+def _base_minima(
+    matrix: Rows, c: Sequence[int], g: int, orbits: tuple[Vector, ...]
+) -> Rows:
+    """Block minima of a perm-invariant fold g * m(i,j) + c(i) - c(j), by base rows."""
+    best = []
+    for orbit in orbits:
+        b = orbit[0]
+        row = [g * x - cj for x, cj in zip(matrix[b], c)]
+        best.append(tuple([min([row[j] for j in oy]) + c[b] for oy in orbits]))
+    return tuple(best)
 
 
 def normalize_equivariant(ed: EquivariantData) -> Vector:
@@ -310,8 +306,10 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     The aligned data are never built.  Conjugating by s1 turns the twist
     into the floor profile of each orbit from its base point, so the fold of
     the aligned data is g * m(i,j) + c(i) - c(j) with c = g * s1 - B, B
-    computed from the aligned twist, and only its block minima are kept: one
-    pass over m, O(n^2).
+    computed from the aligned twist.  Being invariant under perm, it has
+    F(perm^k b, j) = F(b, perm^-k j), and perm^-k maps each orbit onto
+    itself, so the row of the base point b of orbit x holds the block
+    minima of x: r rows of m are read, O(n + r * n + r^3) in all.
 
     Bellman-Ford on the r x r block minima (r orbits) decides the cycle test
     for m itself: the block minima have a negative cycle if and only if m
@@ -337,7 +335,7 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     s1 = floor_align(ed)
     minus_b = _fold_shift(_conjugate_twist(ed, s1), ed.orbits, g)
     c = [g * si + ci for si, ci in zip(s1, minus_b)]
-    sbar, cycle = _bellman_ford(_block_min(_fold_rows(ed.matrix, c, g), ed.orbits))
+    sbar, cycle = _bellman_ford(_base_minima(ed.matrix, c, g, ed.orbits))
     if cycle is not None:
         witness = find_negative_cycle(ed.matrix)
         raise NegativeCycleError(

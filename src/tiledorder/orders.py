@@ -220,7 +220,8 @@ class Permutation(Record):
 
     images: Vector
 
-    def __init__(self, images: Vector):
+    def __init__(self, images: Iterable[int]):
+        images = freeze_vector(images)
         if sorted(images) != list(range(len(images))):
             raise NotBijectiveError(
                 "images do not form a bijection of the index set", witness=list(images)

@@ -3,14 +3,18 @@
 The package itself never needs the identity permutation, the images of a
 permutation power, the boolean form of the negative-cycle test, floor
 profiles, the floor-alignment test or product orders, so they live here,
-built on the package's public API.  `kernel_fold` is the one exception: it runs the
-private closed-form fold kernel of `tiledorder.conjugation`, which tests
-compare with the power-sum fold of `matrix_oracles`.
+built on the package's public API.  Two exceptions run the private kernels
+of `tiledorder.conjugation`: `kernel_fold` builds the full fold of any data
+from the package's closed-form `_fold_shift`, which tests compare with the
+power-sum fold of `matrix_oracles`, and takes its block minima over every
+row with `_fold_rows` and `_block_min`; `base_minima` runs the package's
+one-row-per-orbit kernel on floor-aligned data, which tests compare with
+those every-row minima.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from tiledorder import (
@@ -103,9 +107,34 @@ class Fold(NamedTuple):
     block_min: Rows
 
 
+def _fold_rows(matrix: Rows, c: Sequence[int], g: int) -> Iterator[Vector]:
+    """The rows g * m(i,j) + c(i) - c(j) of the fold, one at a time."""
+    for row, ci in zip(matrix, c):
+        yield tuple([g * x + ci - cj for x, cj in zip(row, c)])
+
+
+def _block_min(rows: Iterable[Vector], orbits: tuple[Vector, ...]) -> Rows:
+    """Orbit-by-orbit minima of rows given in index order, in one pass."""
+    orbit_of = {i: x for x, orbit in enumerate(orbits) for i in orbit}
+    best: list[list[int] | None] = [None] * len(orbits)
+    for i, row in enumerate(rows):
+        x = orbit_of[i]
+        mins = [min([row[j] for j in oy]) for oy in orbits]
+        best[x] = mins if best[x] is None else list(map(min, best[x], mins))
+    return tuple(map(tuple, best))
+
+
 def kernel_fold(ed: EquivariantData) -> Fold:
-    """The package's closed-form fold g * m(i,j) + c(i) - c(j) of any data."""
+    """The closed-form fold g * m(i,j) + c(i) - c(j) of any data, every row."""
     g = ed.period
     c = conjugation._fold_shift(ed.twist, ed.orbits, g)
-    summed = tuple(conjugation._fold_rows(ed.matrix, c, g))
-    return Fold(summed, conjugation._block_min(summed, ed.orbits))
+    summed = tuple(_fold_rows(ed.matrix, c, g))
+    return Fold(summed, _block_min(summed, ed.orbits))
+
+
+def base_minima(ed: EquivariantData) -> Rows:
+    """The package's block minima of the fold of floor-aligned data, from the
+    base point's row of each orbit."""
+    g = ed.period
+    c = conjugation._fold_shift(ed.twist, ed.orbits, g)
+    return conjugation._base_minima(ed.matrix, c, g, ed.orbits)

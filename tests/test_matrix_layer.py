@@ -4,7 +4,8 @@
 Gorenstein detection, the power-sum orbit fold and the staged normalize
 pipeline unchanged; every test here is seeded and compares witnesses,
 exception classes and results exactly.  The per-entry kernels are also
-checked against their literal definitions.
+checked against their literal definitions, and the base-row block minima of
+normalize against the every-row minima kept in `helpers`.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from tiledorder import (
     AmbiguousNakayamaError,
     DomainError,
     EquivarianceViolationError,
+    EquivariantData,
     ExponentMatrix,
     NegativeCycleError,
     NonzeroDiagonalError,
@@ -38,7 +40,15 @@ from tiledorder import conjugation
 from tiledorder.orders import first_triangle_violation
 
 from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
-from helpers import is_floor_aligned, kernel_fold, power_images
+import helpers
+from equivariant_templates import two_orbit_block_min
+from helpers import (
+    base_minima,
+    is_floor_aligned,
+    kernel_fold,
+    power_images,
+    product_order,
+)
 
 HUGE = 10**400
 
@@ -459,9 +469,11 @@ class TestQuotientCriterion:
         for _ in range(600):
             lo = rng.choice((-3, -1, 0, 1))
             ed = random_equivariant(rng, lo, lo + rng.randint(0, 8))
-            fold = kernel_fold(conjugate_data(ed, floor_align(ed)))
+            aligned = conjugate_data(ed, floor_align(ed))
+            minima = base_minima(aligned)
+            assert minima == kernel_fold(aligned).block_min
             whole = find_negative_cycle(ed.matrix)
-            quotient = find_negative_cycle(fold.block_min)
+            quotient = find_negative_cycle(minima)
             assert (quotient is None) == (whole is None)
             if whole is not None:
                 with pytest.raises(NegativeCycleError) as ei:
@@ -469,6 +481,92 @@ class TestQuotientCriterion:
                 assert ei.value.witness == whole
             seen.add((len(ed.orbits) > 1, whole is None))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class ReadCountingRow(tuple):
+    """A matrix row that counts how often it is iterated or indexed."""
+
+    def __new__(cls, values):
+        row = super().__new__(cls, values)
+        row.reads = 0
+        return row
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+class TestBaseMinima:
+    """The package's base-row block minima against the minima of the full
+    fold (`helpers.kernel_fold`, every row) on floor-aligned data."""
+
+    @staticmethod
+    def check(ed):
+        aligned = conjugate_data(ed, floor_align(ed))
+        assert base_minima(aligned) == kernel_fold(aligned).block_min
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_random_permutations(self, scale):
+        rng = random.Random(425)
+        seen = set()
+        for _ in range(400):
+            lo = rng.randint(-3, 1)
+            ed = random_equivariant(rng, lo, lo + rng.randint(0, 8))
+            if rng.random() < 0.5:
+                rows = [[x * scale for x in row] for row in ed.matrix]
+                ed = equivariant_data(rows, [t * scale for t in ed.twist], ed.perm)
+            ed = conjugate_data(ed, [rng.randint(-9, 9) * scale for _ in range(ed.n)])
+            self.check(ed)
+            negative_diagonal = any(ed.matrix[i][i] < 0 for i in range(ed.n))
+            seen.add((len(ed.orbits) > 1, negative_diagonal))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_two_orbit_template(self):
+        rng = random.Random(426)
+        for _ in range(200):
+            values = {sym: rng.randint(-3, 6) for sym in SYMBOLS}
+            ed = two_orbit_data(values)
+            assert is_floor_aligned(ed)
+            assert base_minima(ed) == two_orbit_block_min(values)
+            self.check(ed)
+            self.check(conjugate_data(ed, [rng.randint(-9, 9) for _ in range(ed.n)]))
+
+    def test_shifted_product_orders(self):
+        rng = random.Random(427)
+        multi = 0
+        for _ in range(150):
+            w1 = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+            w2 = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+            w1[rng.randrange(len(w1))] += 1
+            w2[rng.randrange(len(w2))] += 1
+            n = len(w1) * len(w2)
+            shift = [rng.randint(-5, 5) for _ in range(n)]
+            m = product_order(w1, w2, rng.sample(range(n), n), shift)
+            ed = order_equivariant_data(m, detect_gorenstein(m))
+            self.check(ed)
+            multi += len(ed.orbits) > 1
+        assert multi > 40
+
+    def test_accepted_normalize_reads_one_row_per_orbit(self):
+        rng = random.Random(428)
+        accepted = multi = 0
+        for _ in range(300):
+            ed = random_equivariant(rng, 0, rng.randint(0, 8))
+            if find_negative_cycle(ed.matrix) is not None:
+                continue
+            rows = tuple(map(ReadCountingRow, ed.matrix))
+            spy = EquivariantData(rows, ed.twist, ed.perm, ed.twist_avg, ed.orbits)
+            assert normalize_equivariant(spy) == normalize_equivariant(ed)
+            read = [i for i, row in enumerate(rows) if row.reads]
+            assert sorted(read) == sorted(orbit[0] for orbit in ed.orbits)
+            assert all(rows[i].reads == 1 for i in read)
+            accepted += 1
+            multi += len(ed.orbits) > 1
+        assert accepted > 100 and multi > 50
 
 
 class TestConjugationKernels:
@@ -559,4 +657,4 @@ class TestConjugationKernels:
                 tuple(min(rows[i][j] for i in ox for j in oy) for oy in orbits)
                 for ox in orbits
             )
-            assert conjugation._block_min(rows, orbits) == expected
+            assert helpers._block_min(rows, orbits) == expected

@@ -181,6 +181,17 @@ class TestPermutation:
         with pytest.raises(NotBijectiveError):
             Permutation((0, 0, 1))
 
+    def test_freezes_images(self):
+        # floats are refused at once, not later by tuple indexing; bools
+        # become ints, so the orbits hold plain indices
+        with pytest.raises(TypeError):
+            Permutation((1.0, 0.0))
+        perm = Permutation((True, False))
+        assert perm == Permutation((1, 0)) == Permutation([1, 0])
+        assert [type(i) for i in perm.images] == [int, int]
+        assert perm.orbits() == ((0, 1),)
+        assert [type(i) for i in perm.orbits()[0]] == [int, int]
+
 
 class TestRecord:
     def test_equal_records_hash_equal(self):
