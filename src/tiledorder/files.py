@@ -80,6 +80,10 @@ def _load_json(path) -> dict:
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested deeper than the stack
         raise InputFileError(f"{path} nests too deeply to parse: {exc}") from exc
+    except ValueError as exc:  # an integer over sys.get_int_max_str_digits() digits
+        raise InputFileError(
+            f"{path} holds an integer too long to parse: {exc}"
+        ) from exc
     if not isinstance(data, dict):
         raise InputFileError(f"{path} must hold a JSON object")
     return data

@@ -21,7 +21,7 @@ from .errors import (
     ZeroWeightsError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Vector
-from .orders import check_shift, freeze_vector
+from .orders import _nakayama_fits, check_shift, freeze_vector
 
 
 class GorensteinData(Record):
@@ -51,25 +51,20 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
     so every orbit has parameter average p_av.
 
-    Row u fits column i (m(u,j) + m(j,i) constant in j) exactly when its
-    pattern (m(u,j) - m(u,0))_j equals the column's negated pattern (m(0,i) -
-    m(j,i))_j, with ell_i = m(u,0) + m(0,i): one dict lookup per column.
+    The rows fitting each column come from ``orders._nakayama_fits``, the one
+    row/column pattern matcher, which ``ExponentMatrix.from_rows`` also runs.
 
-    The images form a bijection, so Permutation never raises here.  Once
-    every column fits exactly one row, two columns i != i' on one row differ
-    by a constant, so m(i,i') + m(i',i) = 0 and rows i and i' differ by a
-    constant too: neither row is hit.  So the columns indexed by the hit rows
-    sit alone on their rows and use up every hit row, leaving none for a
-    shared column.
+    The images form a bijection, so Permutation never raises here; this
+    needs no triangle inequality.  Once every column fits exactly one row,
+    two columns i != i' on one row differ by a constant, m(i,i') = m(x,i') -
+    m(x,i) for all x, and the relation for any column j, fitting row v, at x
+    = i and x = i' gives m(i,j) - m(i',j) = m(v,i') - m(v,i) = m(i,i'): rows
+    i and i' differ by a constant too, so neither is hit.  So the columns
+    indexed by the hit rows sit alone on their rows and use up every hit
+    row, leaving none for a shared column.
     """
-    fitting: dict[Vector, list[int]] = {}
-    for u, row in enumerate(m.rows):
-        r0 = row[0]
-        fitting.setdefault(tuple([x - r0 for x in row]), []).append(u)
     images = []
-    for i, col in enumerate(m.transpose()):
-        c0 = col[0]
-        candidates = fitting.get(tuple([c0 - x for x in col]), [])
+    for i, candidates in enumerate(_nakayama_fits(m.rows)):
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i

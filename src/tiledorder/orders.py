@@ -10,7 +10,8 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
 from .errors import (
@@ -81,36 +82,56 @@ def _packed(row: Vector, lo: int, size: int) -> int:
     return int.from_bytes(b"".join(fields), "little")
 
 
-def first_triangle_violation(rows: Rows) -> tuple[int, int, int] | None:
+def _packed_rows(rows: Rows, size: int, top: int) -> list[int]:
+    """``_packed(row, -half, size)`` for each row, half = 2**(8*size-1).
+
+    From 32 rows on, a field of up to 8 bytes is a signed array item, x mod
+    2**(8*size), and flipping its top bit (set in ``top``) gives x + half.
+    A big-endian host reverses the fields; the scan treats them alike.  Fewer
+    rows take ``_packed``: importing array (a shared library, about 0.6 ms)
+    costs more than packing them, and a CLI run scans one small matrix.
+    """
+    if size > 8 or len(rows) < 32:
+        return [_packed(row, -(1 << (8 * size - 1)), size) for row in rows]
+    from array import array
+
+    code = next(c for c in "bhilq" if array(c).itemsize == size)
+    return [int.from_bytes(array(code, row), sys.byteorder) ^ top for row in rows]
+
+
+def first_triangle_violation(
+    rows: Rows, scanned: Iterable[int] | None = None
+) -> tuple[int, int, int] | None:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
-    Rows are packed into ints, field k (w bits) of P_j holding m(j,k) - lo, lo
-    = min(0, min m).  Each defect d = m(i,j) + m(j,k) - m(i,k) has |d| <= 2 *
-    (max(0, max m) - lo) < half = 2**(w-1), so every field of P_j - P_i +
-    (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half with no
-    borrow, its top bit set iff d >= 0.  Packed rows take about input memory.
+    Only rows i in ``scanned`` (increasing; all when None) are scanned: with
+    a Nakayama permutation its orbits' least points suffice (see from_rows).
+    Rows are packed into ints, field k (w = 8 * size bits) of P_j holding
+    m(j,k) + half, half = 2**(w-1).  Each defect d = m(i,j) + m(j,k) - m(i,k)
+    has |d| <= 2 * (max(0, max m) - min(0, min m)) < half, so every field of
+    P_j - P_i + (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half
+    with no borrow, its top bit set iff d >= 0.  Packed rows take about
+    input memory.
     """
     n = len(rows)
-    lo = min(0, *map(min, rows))
-    size = (2 * (max(0, *map(max, rows)) - lo)).bit_length() // 8 + 1  # w = 8 * size
+    span = 2 * (max(0, *map(max, rows)) - min(0, *map(min, rows)))
+    size = span.bit_length() // 8 + 1
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()  # an array item: 1, 2, 4 or 8 bytes
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
     top = ones << (8 * size - 1)
-    packed = [_packed(r, lo, size) for r in rows]
-    for i, (row, pi) in enumerate(zip(rows, packed)):
-        base = top - pi
+    packed = _packed_rows(rows, size, top)
+    for i in range(n) if scanned is None else scanned:
+        row = rows[i]
+        base = top - packed[i]
         for j, (mij, pj) in enumerate(zip(row, packed)):
             if (pj + base + mij * ones) & top != top:
                 return (i, j, next(k for k in range(n) if mij + rows[j][k] < row[k]))
     return None
 
 
-def _scan(
-    rows: Iterable[Sequence[int]],
-) -> tuple[Rows, tuple[int, int, int] | None]:
-    """The one structural scan: frozen rows and the first triangle violation.
-
-    Raises NonSquareError / NonzeroDiagonalError on structural defects.
-    """
+def _square(rows: Iterable[Sequence[int]]) -> Rows:
+    """Frozen rows; NonSquareError / NonzeroDiagonalError on structural defects."""
     frozen = freeze_rows(rows)
     n = len(frozen)
     if n == 0:
@@ -125,7 +146,22 @@ def _scan(
             raise NonzeroDiagonalError(
                 f"diagonal entry ({i},{i}) is {frozen[i][i]}, expected 0", witness=i
             )
-    return frozen, first_triangle_violation(frozen)
+    return frozen
+
+
+def _nakayama_fits(rows: Rows) -> Iterator[list[int]]:
+    """For each column i in turn, the rows u with m(u,x) + m(x,i) constant in x.
+
+    Those whose pattern (m(u,x) - m(u,0))_x is i's (m(0,i) - m(x,i))_x, the
+    constant being m(u,0) + m(0,i): one hash per row and one lookup per column.
+    """
+    fitting: dict[Vector, list[int]] = {}
+    for u, row in enumerate(rows):
+        r0 = row[0]
+        fitting.setdefault(tuple([x - r0 for x in row]), []).append(u)
+    for col in zip(*rows):
+        c0 = col[0]
+        yield fitting.get(tuple([c0 - x for x in col]), [])
 
 
 def _is_basic(rows: Rows) -> bool:
@@ -164,7 +200,8 @@ def validate_order(rows: Iterable[Sequence[int]]) -> OrderReport:
     triangle inequality, basicness (m(i,j) + m(j,i) > 0 off the diagonal) and
     N-gradedness (all entries >= 0) are reported, not raised.
     """
-    frozen, violation = _scan(rows)
+    frozen = _square(rows)
+    violation = first_triangle_violation(frozen)
     return OrderReport(
         triangle_ok=violation is None,
         basic=_is_basic(frozen),
@@ -185,7 +222,24 @@ class ExponentMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
-        frozen, violation = _scan(rows)
+        """Validate rows: NonSquare, then NonzeroDiagonal, then TriangleViolation.
+
+        When each column fits exactly one row (``detect_gorenstein``'s
+        matcher; its docstring shows these rows distinct), the scan reads one
+        row per orbit of that nu.  The relation m(nu i, x) + m(x, i) = ell_i
+        at x = nu j, and for j at x = i, gives m(nu i, nu j) = m(i,j) + ell_i
+        - ell_j, so the ells cancel in d(nu i, nu j, nu k) = d(i,j,k), the
+        triangle defect.  A violation in row i recurs in the row of its
+        orbit's least point, and ``orbits`` lists those in increasing order:
+        the first violating one holds the first violation overall.  The
+        triangle inequality is not used.
+        """
+        frozen = _square(rows)
+        images = [u for fit in _nakayama_fits(frozen) if len(fit) == 1 for u in fit]
+        bases = None
+        if len(images) == len(frozen):
+            bases = [orbit[0] for orbit in Permutation(images).orbits()]
+        violation = first_triangle_violation(frozen, bases)
         if violation is not None:
             i, j, k = violation
             raise TriangleViolationError(

@@ -1,16 +1,18 @@
 """The cubic matrix-layer computations, kept as independent test oracles.
 
 These are the direct definitions the package used before its fast versions:
-the triple-loop triangle scan, Gorenstein detection that tries every row
-against every column, the orbit fold that sums g permuted copies of the
-matrix, and the staged normalize pipeline that tested the whole matrix for a
-negative cycle and built the aligned data and its full fold.
-`tiledorder.orders.first_triangle_violation`, `tiledorder.detect_gorenstein`,
-the closed-form fold kernel of `tiledorder.conjugation` (see
-`helpers.kernel_fold`) and `tiledorder.normalize_equivariant` must agree with
-them exactly: same witnesses, same exceptions and messages, same data.  The
-staged pipeline folds with the power sum below, so it shares no fold code
-with the package path it checks.
+the triple-loop triangle scan (also behind the structural checks, in
+`from_rows`), Gorenstein detection that tries every row against every
+column, the orbit fold that sums g permuted copies of the matrix, and the
+staged normalize pipeline that tested the whole matrix for a negative cycle
+and built the aligned data and its full fold.
+`tiledorder.orders.first_triangle_violation`, `ExponentMatrix.from_rows`,
+`tiledorder.detect_gorenstein`, the closed-form fold kernel of
+`tiledorder.conjugation` (see `helpers.kernel_fold`) and
+`tiledorder.normalize_equivariant` must agree with them exactly: same
+witnesses, same exceptions and messages (but for `from_rows`' messages),
+same data.  The staged pipeline folds with the power sum below, so it
+shares no fold code with the package path it checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ from tiledorder.conjugation import (
 from tiledorder.errors import (
     AmbiguousNakayamaError,
     NegativeCycleError,
+    NonSquareError,
+    NonzeroDiagonalError,
     NotGorensteinError,
+    TriangleViolationError,
 )
 from tiledorder.gorenstein import GorensteinData
 from tiledorder.orders import ExponentMatrix, Permutation, Rows, Vector
@@ -45,6 +50,29 @@ def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
                 if rows[i][j] + rows[j][k] < rows[i][k]:
                     return (i, j, k)
     return None
+
+
+def from_rows(rows) -> Rows:
+    """Rows that pass every check of an exponent matrix, scanning all of them.
+
+    NonSquareError, then NonzeroDiagonalError, then TriangleViolationError
+    with the triple loop's witness: the full scan that `from_rows` skips
+    when a Nakayama permutation fits.
+    """
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows)
+    if n == 0:
+        raise NonSquareError("matrix must be non-empty and square")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NonSquareError(f"row {i} is not of length {n}", witness=i)
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise NonzeroDiagonalError(f"entry ({i},{i}) is not 0", witness=i)
+    violation = first_triangle_violation(rows)
+    if violation is not None:
+        raise TriangleViolationError("triangle inequality fails", witness=violation)
+    return rows
 
 
 def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:

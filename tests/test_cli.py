@@ -469,7 +469,8 @@ class TestFileLimit:
 
 # Canonical argv, each with what its run must not import.  Files are written
 # by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
-NEVER = {"argparse", "dataclasses", "typing", "inspect", "pathlib"}
+# array is loaded only by a triangle scan of 32 rows or more.
+NEVER = {"argparse", "dataclasses", "typing", "inspect", "pathlib", "array"}
 CANONICAL = {
     "validate-matrix": (
         ["validate", "m.json"],
@@ -542,6 +543,16 @@ def test_command_import_path(tmp_path, argv, absent):
     assert loaded.isdisjoint(NEVER | absent), loaded & (NEVER | absent)
 
 
+@pytest.mark.parametrize("n", [31, 32])
+def test_array_loads_for_large_scans_only(tmp_path, n):
+    """Packing rows through array pays its import only from 32 rows on."""
+    m, _ = gorenstein.cyclic_order((1,) * n)
+    (tmp_path / "big.json").write_text(json.dumps({"kind": "matrix", "m": m.rows}))
+    status, loaded = loaded_modules(tmp_path, ["validate", "big.json"])
+    assert status == 0
+    assert ("array" in loaded) == (n >= 32)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["-h"], ["validate", "-h"], ["validate", "m.json", "--bogus"]],
@@ -609,6 +620,35 @@ def test_deeply_nested_file_exit_2(tmp_path, capsys, command, text):
     payload = only_stderr_json(err)
     assert payload["code"] == "MalformedInput"
     assert "nests too deeply" in payload["message"]
+
+
+LONG = "1" + "0" * 4300  # 4,301 digits
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", '{"kind": "matrix", "m": [[0, ' + LONG + "], [1, 0]]}"),
+        ("gorenstein", '{"kind": "cyclic", "weights": [1, ' + LONG + "]}"),
+        ("mdata-check", '{"m": [[0, ' + LONG + '], [1, 0]], "a": [0, 0], "nu": [0, 1]}'),
+    ],
+    ids=["matrix", "cyclic", "mdata"],
+)
+def test_overlong_integer_exit_2(tmp_path, capsys, command, text):
+    """An integer over CPython's default 4,300-digit limit is malformed input."""
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, command, str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    payload = only_stderr_json(err)
+    assert payload["code"] == "MalformedInput"
+    assert "integer too long to parse" in payload["message"]
 
 
 def test_rejections_do_not_depend_on_assert(tmp_path):

@@ -21,6 +21,7 @@ from tiledorder import (
     EquivariantData,
     ExponentMatrix,
     NegativeCycleError,
+    NonSquareError,
     NonzeroDiagonalError,
     NotGorensteinError,
     Permutation,
@@ -36,7 +37,7 @@ from tiledorder import (
     order_equivariant_data,
     validate_order,
 )
-from tiledorder import conjugation
+from tiledorder import conjugation, orders
 from tiledorder.orders import first_triangle_violation
 
 from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
@@ -180,6 +181,40 @@ class TestTriangleScanEdges:
                     matrix_oracles.first_triangle_violation(rows)
                 )
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-16, 15), (-31, 31), (-(2**13), 2**13), (-(2**29), 2**29),
+            (-(2**60), 2**60), (-(2**61), 2**61), (-HUGE, HUGE),
+        ],
+    )
+    def test_array_field_sizes(self, lo, hi):
+        # 32 rows and more are packed through array: a 1-byte field at the
+        # edge of its bound, fields of 3 and 5 bytes rounded up to items of 4
+        # and 8, the widest item, and int.to_bytes beyond it
+        rng = random.Random(441)
+        for n in (32, 33):
+            def fill(pick):
+                return tuple(
+                    tuple(0 if i == j else pick() for j in range(n)) for i in range(n)
+                )
+
+            assert first_triangle_violation(fill(lambda: hi)) is None
+            assert first_triangle_violation(fill(lambda: lo)) == (0, 1, 0)
+            for _ in range(5):
+                rows = fill(lambda: rng.choice((lo, hi)))
+                assert first_triangle_violation(rows) == (
+                    matrix_oracles.first_triangle_violation(rows)
+                )
+            # late violations: one row raised above a valid closure
+            d = shortest_path_closure(rng, n, -4, 4)
+            rows = [[x * (hi // 4) for x in row] for row in d]
+            rows[n - 1][rng.randrange(n - 1)] += rng.randint(1, 3)
+            rows = tuple(map(tuple, rows))
+            assert first_triangle_violation(rows) == (
+                matrix_oracles.first_triangle_violation(rows)
+            )
+
     def test_negative_entries_with_a_nonnegative_row(self):
         rng = random.Random(405)
         negative = 0
@@ -210,6 +245,265 @@ class TestTriangleScanEdges:
         assert matrix_oracles.first_triangle_violation(
             tuple(map(tuple, rows))
         ) == (3, 4, 0)
+
+
+def fit_kind(rows):
+    """How the columns of square rows fit rows: "none", "ambiguous" or "nu"."""
+    fits = list(orders._nakayama_fits(rows))
+    if any(not fit for fit in fits):
+        return "none"
+    if any(len(fit) > 1 for fit in fits):
+        return "ambiguous"
+    assert sorted(fit[0] for fit in fits) == list(range(len(rows)))  # a bijection
+    return "nu"
+
+
+def relation_preserving(rng, rows, images, delta):
+    """rows with +-delta, alternating, along the orbit of a random (a, b) under
+    (x, y) -> (nu y, x); None when the orbit is odd or meets the diagonal.
+
+    The Gorenstein relation m(nu i, x) + m(x, i) = ell_i pairs the entry (x, i)
+    with (nu i, x), its image, so alternating signs keep every ell_i and nu
+    still fits; the triangle inequality need not survive.
+    """
+    a, b = rng.sample(range(len(rows)), 2)
+    orbit = [(a, b)]
+    while (step := (images[orbit[-1][1]], orbit[-1][0])) != orbit[0]:
+        orbit.append(step)
+    if len(orbit) % 2 or any(x == y for x, y in orbit):
+        return None
+    out = [list(row) for row in rows]
+    for t, (x, y) in enumerate(orbit):
+        out[x][y] += delta if t % 2 == 0 else -delta
+    return tuple(map(tuple, out))
+
+
+def from_rows_outcome(rows, build=ExponentMatrix.from_rows):
+    """The rows built, or the class and witness of the error."""
+    try:
+        built = build(rows)
+    except DomainError as exc:
+        return type(exc), exc.witness
+    return built.rows if isinstance(built, ExponentMatrix) else built
+
+
+def two_cycle_product(weights, labels, shift):
+    """Product of the 2-cycle cyclic orders of the weight pairs: n = 2**len(weights).
+
+    m(x, y) adds a_f where bit f of x is 0 and of y is 1, and b_f where it is
+    1 and 0; nu flips every bit, so there are n / 2 orbits of length 2.
+    Index x carries the point labels[x], and the result is shifted.
+    """
+    n = 1 << len(weights)
+
+    def m(x, y):
+        total = 0
+        for f, (a, b) in enumerate(weights):
+            bits = (x >> f) & 1, (y >> f) & 1
+            total += {(0, 1): a, (1, 0): b}.get(bits, 0)
+        return total
+
+    return tuple(
+        tuple(m(labels[i], labels[j]) + shift[i] - shift[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The rows each first_triangle_violation call scans, in call order."""
+    calls = []
+    real = orders.first_triangle_violation
+
+    def spy(rows, scanned=None):
+        scanned = None if scanned is None else list(scanned)
+        calls.append(list(range(len(rows))) if scanned is None else scanned)
+        return real(rows, scanned)
+
+    monkeypatch.setattr(orders, "first_triangle_violation", spy)
+    return calls
+
+
+def base_points(rows):
+    return [orbit[0] for orbit in detect_gorenstein(ExponentMatrix(rows)).nu.orbits()]
+
+
+def random_product(rng, scale=1):
+    w1 = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    w2 = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    w1[rng.randrange(len(w1))] += 1
+    w2[rng.randrange(len(w2))] += 1
+    n = len(w1) * len(w2)
+    m = product_order(w1, w2, rng.sample(range(n), n))
+    rows = tuple(tuple(x * scale for x in row) for row in m.rows)
+    return morita_shift(ExponentMatrix(rows), [rng.randint(-5, 5) * scale for _ in range(n)])
+
+
+class TestBaseRowScan:
+    """`from_rows` scans one row per Nakayama orbit, against the full scan.
+
+    Each case compares `from_rows` (rows, or error class and witness) with
+    `matrix_oracles.from_rows`, which checks the structure and scans every
+    row with the triple loop, and records which rows the package scanned.
+    """
+
+    def check(self, rows, scans):
+        """The rows scanned by one from_rows call, after comparing its outcome."""
+        scans.clear()
+        assert from_rows_outcome(rows) == from_rows_outcome(rows, matrix_oracles.from_rows)
+        return scans[-1] if scans else None
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_shuffled_cyclic_orders(self, scale, scans):
+        rng = random.Random(431 if scale == 1 else 432)
+        violations = 0
+        for _ in range(400):
+            m = relabeled_shifted_cyclic(rng, rng.randint(1, 10))
+            rows = tuple(tuple(x * scale for x in row) for row in m.rows)
+            assert self.check(rows, scans) == [0]  # one orbit, based at 0
+            nudged = perturbed(rng, rows, 1)
+            self.check(nudged, scans)
+            violations += validate_order(nudged).first_violation is not None
+        assert violations > 100
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_product_orders(self, scale, scans):
+        rng = random.Random(433 if scale == 1 else 434)
+        multi = 0
+        for _ in range(150):
+            rows = random_product(rng, scale).rows
+            bases = base_points(rows)
+            assert self.check(rows, scans) == bases
+            multi += len(bases) > 1
+        assert multi > 40
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_relation_preserving_perturbations(self, scale, scans):
+        # nu still fits, so only its base rows are scanned; about half of
+        # these break the triangle inequality, and the witness must still be
+        # the first of the full scan
+        rng = random.Random(435 if scale == 1 else 436)
+        kept = broken = 0
+        for _ in range(1200):
+            if rng.random() < 0.5:
+                m = relabeled_shifted_cyclic(rng, rng.randint(2, 9))
+            else:
+                m = random_product(rng)
+            if m.n < 2:
+                continue
+            images = detect_gorenstein(m).nu.images
+            rows = relation_preserving(rng, m.rows, images, rng.randint(1, 3))
+            if rows is None:
+                continue
+            rows = tuple(tuple(x * scale for x in row) for row in rows)
+            if fit_kind(rows) != "nu":
+                self.check(rows, scans)
+                continue
+            assert self.check(rows, scans) == base_points(rows)
+            if validate_order(rows).first_violation is None:
+                kept += 1
+            else:
+                broken += 1
+        assert kept > 120 and broken > 300
+
+    def test_eight_factor_two_cycle_product(self, scans):
+        # n = 256 with 128 orbits: the largest file size, the most orbits
+        rng = random.Random(437)
+        weights = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(8)]
+        labels = rng.sample(range(256), 256)
+        rows = two_cycle_product(weights, labels, [rng.randint(-9, 9) for _ in range(256)])
+        bases = base_points(rows)
+        assert len(bases) == 128
+        scans.clear()
+        assert ExponentMatrix.from_rows(rows).rows == rows
+        assert scans == [bases]
+        images = detect_gorenstein(ExponentMatrix(rows)).nu.images
+        witnesses = 0
+        for delta in (1, 2, 3, 5, 8, 13):
+            bad = relation_preserving(rng, rows, images, delta)
+            if bad is None or fit_kind(bad) != "nu":
+                continue
+            full = validate_order(bad).first_violation  # every row scanned
+            scans.clear()
+            got = from_rows_outcome(bad)
+            assert scans[0] == bases
+            if full is None:
+                assert got == bad
+            else:
+                assert got == (TriangleViolationError, full)
+                witnesses += 1
+        assert witnesses > 0
+
+    def test_ambiguous_and_missing_fits(self, scans):
+        # no fit or several fits for some column: the full scan runs
+        rng = random.Random(438)
+        kinds = {}
+        for _ in range(6000):
+            n = rng.randint(1, 4)
+            rows = tuple(
+                tuple(0 if i == j else rng.randint(-2, 2) for j in range(n))
+                for i in range(n)
+            )
+            kind = fit_kind(rows)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            scanned = self.check(rows, scans)
+            assert scanned == (base_points(rows) if kind == "nu" else list(range(n)))
+        assert set(kinds) == {"none", "ambiguous", "nu"}
+        assert min(kinds.values()) > 20
+
+    def test_unique_fits_form_a_bijection(self):
+        # detect_gorenstein's argument needs no triangle inequality: on every
+        # zero-diagonal 3x3 matrix with entries in -3..3 (fit_kind asserts it)
+        kinds = {}
+        for values in itertools.product(range(-3, 4), repeat=6):
+            it = iter(values)
+            rows = tuple(
+                tuple(0 if i == j else next(it) for j in range(3)) for i in range(3)
+            )
+            kind = fit_kind(rows)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "nu" and first_triangle_violation(rows) is not None:
+                kinds["nu, no triangle"] = kinds.get("nu, no triangle", 0) + 1
+        assert kinds["nu"] > 500 and kinds["ambiguous"] > 500
+        assert kinds["nu, no triangle"] > 100
+
+    def test_structural_errors_come_first(self, scans):
+        # ragged rows, then a nonzero diagonal, then the triangle
+        rng = random.Random(439)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(0, 4)
+            rows = [
+                [rng.choice((0, 0, 0, 1)) if i == j else rng.randint(-2, 2) for j in range(n)]
+                for i in range(n)
+            ]
+            if n and rng.random() < 0.3:
+                i = rng.randrange(n)
+                rows[i] = rows[i] + [0] if rng.random() < 0.5 else rows[i][:-1]
+            got = from_rows_outcome(rows)
+            assert got == from_rows_outcome(rows, matrix_oracles.from_rows)
+            seen.add(got[0] if got and isinstance(got[0], type) else "ok")
+        assert seen == {
+            "ok", NonSquareError, NonzeroDiagonalError, TriangleViolationError
+        }
+        # a ragged later row beats a nonzero diagonal, which beats a violation
+        assert from_rows_outcome([[1, 5, 0], [0, 0, 0], [0, 0]]) == (NonSquareError, 2)
+        assert from_rows_outcome([[0, 5, 0], [0, 1, 0], [0, 0, 0]]) == (
+            NonzeroDiagonalError, 1
+        )
+        assert from_rows_outcome([]) == (NonSquareError, None)
+
+    def test_validate_order_scans_every_row(self, scans):
+        # from_rows reads the r base rows of a Gorenstein order; validate_order,
+        # which reports on any candidate matrix, reads all n
+        rng = random.Random(440)
+        for _ in range(40):
+            m = random_product(rng)
+            bases = base_points(m.rows)
+            scans.clear()
+            ExponentMatrix.from_rows(m.rows)
+            validate_order(m.rows)
+            assert scans == [bases, list(range(m.n))]
 
 
 class TestDetectDifferential:

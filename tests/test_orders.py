@@ -2,6 +2,8 @@ import copy
 import operator
 import pickle
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -427,3 +429,33 @@ class TestKernelsAgainstDefinitions:
                 b"".join((x - lo).to_bytes(size, "little") for x in row), "little"
             )
             assert orders._packed(row, lo, size) == literal
+
+    def test_array_packed_rows(self):
+        # each array item size at the edges of its field, against _packed;
+        # 32 rows take the array, 31 int.to_bytes; a big-endian host lists
+        # the array's fields in reverse order
+        for code in "bhilq":
+            size = array(code).itemsize
+            half = 1 << (8 * size - 1)
+            edges = (
+                (-half, half - 1, 0, -1, 1, 1 - half, half - 2),
+                (-half,) * 7,
+                (half - 1,) * 7,
+                (0,) * 7,
+            )
+            rows = edges * 8
+            top = int.from_bytes(b"\1".ljust(size, b"\0") * 7, "little") << (8 * size - 1)
+            order = 1 if sys.byteorder == "little" else -1
+            assert orders._packed_rows(rows, size, top) == [
+                orders._packed(row[::order], -half, size) for row in rows
+            ]
+            assert orders._packed_rows(rows[:31], size, top) == [
+                orders._packed(row, -half, size) for row in rows[:31]
+            ]
+        # wider fields are packed by _packed itself
+        for size in (9, 16, 167):
+            half = 1 << (8 * size - 1)
+            rows = ((-half, half - 1, 0, -1),) * 32
+            assert orders._packed_rows(rows, size, None) == [
+                orders._packed(row, -half, size) for row in rows
+            ]
