@@ -15,11 +15,8 @@ _EXPORTS = {
             "DimensionMismatchError",
             "DomainError",
             "EquivarianceViolationError",
-            "IndexOutOfRangeError",
             "InputFileError",
-            "InvalidLatticeError",
             "NegativeCycleError",
-            "NegativeDiagonalError",
             "NonSquareError",
             "NonzeroDiagonalError",
             "NotBijectiveError",
@@ -56,12 +53,9 @@ _EXPORTS = {
         (
             "EquivariantData",
             "conjugate_data",
-            "conjugate_matrix",
-            "cycle_sum",
             "equivariant_data",
             "find_negative_cycle",
             "floor_align",
-            "nonneg_conjugate",
             "normalize_equivariant",
             "order_equivariant_data",
         ),
@@ -72,15 +66,10 @@ _EXPORTS = {
             "Quiver",
             "TiltingPoset",
             "cyclic_hasse_oracle",
-            "endo_block_dim",
             "grothendieck_rank",
             "hasse_quiver",
-            "hom_dim",
-            "is_lattice_vector",
-            "tilde_index_sets",
             "tilting_poset",
             "tilting_summands",
-            "truncate_shift",
         ),
         "tilting",
     ),

@@ -1,4 +1,4 @@
-"""Cycle-sum tests and equivariant conjugation of integer matrices.
+"""The negative-cycle test and equivariant conjugation of integer matrices.
 
 This module works with plain square integer matrices (no zero-diagonal or
 triangle requirements).  Conjugating by a shift vector s sends m(i,j) to
@@ -18,9 +18,7 @@ from itertools import accumulate
 from .errors import (
     DimensionMismatchError,
     EquivarianceViolationError,
-    IndexOutOfRangeError,
     NegativeCycleError,
-    NegativeDiagonalError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
 from .orders import check_shift, conjugate_rows, freeze_rows
@@ -32,19 +30,6 @@ def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     if n == 0 or any(len(row) != n for row in rows):
         raise DimensionMismatchError("matrix must be non-empty and square")
     return rows
-
-
-def cycle_sum(matrix: Sequence[Sequence[int]], seq: Sequence[int]) -> int:
-    """Sum of m(i_k, i_{k+1}) around the cyclic sequence seq (indices may repeat)."""
-    rows = _square(matrix)
-    n = len(rows)
-    idx = tuple(seq)
-    if len(idx) == 0:
-        raise IndexOutOfRangeError("cycle sequence must be non-empty")
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} out of range for n={n}", witness=i)
-    return sum(rows[idx[k]][idx[(k + 1) % len(idx)]] for k in range(len(idx)))
 
 
 def _bellman_ford(rows: Rows) -> tuple[list[int], tuple[int, ...] | None]:
@@ -100,39 +85,6 @@ def find_negative_cycle(
 ) -> tuple[int, ...] | None:
     """A directed cycle with negative sum, or None.  Singletons cover the diagonal."""
     return _bellman_ford(_square(matrix))[1]
-
-
-def conjugate_matrix(matrix: Sequence[Sequence[int]], s: Sequence[int]) -> Rows:
-    rows = _square(matrix)
-    return conjugate_rows(rows, check_shift(s, len(rows)))
-
-
-def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
-    """A shift s with m(i,j) + s(i) - s(j) >= 0 everywhere, when one exists.
-
-    s is the vector of shortest-path potentials from a virtual source with
-    zero-weight edges to every vertex, so the result is deterministic.  Raises
-    NegativeDiagonalError(i) when some m(i,i) < 0 (no conjugate can fix the
-    diagonal; the cycle search reports these, and only these, as singleton
-    cycles) and NegativeCycleError with a witness cycle when the cycle test
-    fails.
-
-    s needs no check: the last Bellman-Ford pass relaxed nothing, so dist(j)
-    <= dist(i) + m(i,j) for i != j, and the diagonal is non-negative.
-    """
-    rows = _square(matrix)
-    dist, cycle = _bellman_ford(rows)
-    if cycle is not None and len(cycle) == 1:
-        i = cycle[0]
-        raise NegativeDiagonalError(
-            f"diagonal entry ({i},{i}) is negative", witness=i
-        )
-    if cycle is not None:
-        raise NegativeCycleError(
-            f"negative cycle {cycle} with sum {cycle_sum(rows, cycle)}",
-            witness=cycle,
-        )
-    return tuple(dist)
 
 
 class EquivariantData(Record):

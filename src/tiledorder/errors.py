@@ -56,10 +56,6 @@ class NotBijectiveError(DomainError):
     code = "NotBijective"
 
 
-class IndexOutOfRangeError(DomainError):
-    code = "IndexOutOfRange"
-
-
 class TooLargeError(DomainError):
     code = "TooLarge"
 
@@ -68,20 +64,12 @@ class NegativeCycleError(DomainError):
     code = "NegativeCycle"
 
 
-class NegativeDiagonalError(DomainError):
-    code = "NegativeDiagonal"
-
-
 class EquivarianceViolationError(DomainError):
     code = "EquivarianceViolation"
 
 
 class DimensionMismatchError(DomainError):
     code = "DimensionMismatch"
-
-
-class InvalidLatticeError(DomainError):
-    code = "InvalidLattice"
 
 
 class PositiveParameterError(DomainError):

@@ -1,11 +1,10 @@
-"""Rank-one lattices, the tilting poset, and its Hasse quiver.
+"""The tilting poset of a Gorenstein tiled order, and its Hasse quiver.
 
-A rank-one lattice over a tiled order is recorded by its exponent vector v,
-valid when v(j) <= min_i (v(i) + m(i,j)).  For a Gorenstein order with all
-parameters p_i <= 0, truncating the shifted projectives gives the finite
-poset of basic tilting summands: the vectors truncate_shift(row nu(i), j),
-1 <= j <= -p_i, and the zero vector, ordered componentwise.  The Hasse
-quiver points from larger to smaller, so zero is the unique sink.
+For a Gorenstein order with all parameters p_i <= 0, truncating the shifted
+projectives gives the finite poset of basic tilting summands: the vectors
+row nu(i) truncated at j, max(m(nu i, x) - j, 0), for 1 <= j <= -p_i, and
+the zero vector, ordered componentwise.  The Hasse quiver points from larger
+to smaller, so zero is the unique sink.
 """
 
 from __future__ import annotations
@@ -13,16 +12,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import add
 
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    InvalidLatticeError,
-    NotNGradedError,
-    PositiveParameterError,
-    TooLargeError,
-)
+from .errors import NotNGradedError, PositiveParameterError, TooLargeError
 from .gorenstein import GorensteinData, cyclic_order
-from .orders import ExponentMatrix, Record, Vector, first_negative, freeze_vector
+from .orders import ExponentMatrix, Record, Vector, first_negative
 
 # Largest poset hasse_quiver and `tiledorder quiver` accept.  It bounds the
 # quiver's k vertices and at most n * k arrows (one per line, or zero, below
@@ -37,41 +29,9 @@ Slot = tuple[int, int]  # (s, i): row nu(s) truncated at i
 Labels = tuple[Slot, ...]
 
 
-def _lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> tuple[Vector, bool]:
-    """v frozen, and whether it is the exponent vector of a rank-one lattice."""
-    vec = freeze_vector(v)
-    if len(vec) != m.n:
-        raise DimensionMismatchError(f"vector has length {len(vec)}, expected {m.n}")
-    return vec, all(x <= min(map(add, vec, col)) for x, col in zip(vec, m.transpose()))
-
-
-def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
-    """Whether v is the exponent vector of a rank-one lattice over m."""
-    return _lattice_vector(m, v)[1]
-
-
 def _truncate(vec: Vector, j: int) -> Vector:
     # max(x - j, 0) for every x, in the cheapest form: it runs once per summand
     return tuple([x - j if x > j else 0 for x in vec])
-
-
-def truncate_shift(v: Sequence[int], j: int) -> Vector:
-    """Shift down by j and truncate at zero: max(v_i - j, 0) componentwise."""
-    return _truncate(freeze_vector(v), j)
-
-
-def hom_dim(m: ExponentMatrix, v: Sequence[int], w: Sequence[int], t: int) -> int:
-    """dim Hom in degree t between the lattices of v and w: 1 iff t >= max(w - v)."""
-    frozen = []
-    for vec in (v, w):
-        vec, ok = _lattice_vector(m, vec)
-        if not ok:
-            raise InvalidLatticeError(
-                "vector is not a valid rank-one lattice", witness=list(vec)
-            )
-        frozen.append(vec)
-    vv, ww = frozen
-    return 1 if t >= max(b - a for a, b in zip(vv, ww)) else 0
 
 
 def _check_n_graded(m: ExponentMatrix) -> None:
@@ -104,7 +64,7 @@ def tilting_summands(
 ) -> list[tuple[Labels, Vector]]:
     """Distinct tilting summand vectors with their (i, j) labels.
 
-    Lists truncate_shift(row nu(i), j), 1 <= j <= -p_i, in label order, and
+    Lists row nu(i) truncated at j, 1 <= j <= -p_i, in label order, and
     after line 0 the zero vector with its n labels (i, -p_i + 1): k = 1 -
     sum(p) vectors.  Requires all p_i <= 0, then k * n <= TILTING_LIMIT
     (TooLargeError, witness k * n, before any summand is built), then an
@@ -115,8 +75,6 @@ def tilting_summands(
     - (s, j) != (t, k) give different vectors: coordinate s differs if
       s = t; else equal coordinates s and t give m(s,t) + m(t,s) = 0, but a
       detected order is basic (see detect_gorenstein).
-    - Rows of m, their shifts and (m being N-graded) zero are lattice
-      vectors, and so is the componentwise max of two lattice vectors.
     """
     lines = _lines(m, g)
     out = [(((s, i),), v) for s, vs in enumerate(lines) for i, v in enumerate(vs, 1)]
@@ -133,8 +91,13 @@ class TiltingPoset(Record):
 
     Slot (s, i), 1 <= i <= lengths[s] = -p_s, holds T(s, i), row nu(s)
     truncated at i, which is elements[ranks[s][i - 1]]; zero has rank 0.
-    steps[t][s] = M(t, s) = m(nu t, nu s): T(t, j) <= T(s, i) exactly when
-    j - i >= M(t, s) (see endo_block_dim).
+    steps[t][s] = M(t, s) = m(nu t, nu s).  The order rule: T(t, j) <=
+    T(s, i) exactly when j - i >= M(t, s).  If j - i >= M(t, s), then
+    m(nu t, x) - j <= m(nu s, x) - i for every x by the triangle inequality.
+    Conversely, coordinate t of T(t, j) is ell_t - j > 0, as m(nu t, t) =
+    ell_t = 1 - p_t (see tilting_summands), so T(t, j) <= T(s, i) gives
+    ell_t - j <= m(nu s, t) - i, and ell_t - m(nu s, t) = m(nu t, nu s) by
+    the Gorenstein relation (see detect_gorenstein).
     """
 
     elements: tuple[Vector, ...]  # sorted lexicographically, zero first
@@ -160,7 +123,7 @@ def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
 
 
 class Quiver(Record):
-    """A finite quiver: sorted vertices, sorted distinct arrows, else ValueError.
+    """A finite quiver: distinct arrows whose ends are vertices, else ValueError.
 
     Each arrow end is stored as the vertex object it equals, so the ends can
     be looked up by identity (see files.quiver_dot).
@@ -201,7 +164,7 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     """Cover arrows of the poset, drawn from larger to smaller element.
 
     Read off the slot labels (notation of TiltingPoset, L_s = lengths[s]).
-    By its order rule, the largest slot of line t below (s, i) is
+    By the order rule proved there, the largest slot of line t below (s, i) is
     c_t = (t, i + M(t, s)), or (s, i + 1) for t = s, if i <= E_s(t) =
     L_t - M(t, s), or L_s - 1 for t = s; zero lies below all.  So (s, i)
     covers the maximal c_t, or zero if i > max_t E_s(t).  For all i and
@@ -251,40 +214,6 @@ def grothendieck_rank(g: GorensteinData) -> int:
                 f"parameter p_{i} = {pi} > 0; the tilting poset is infinite", witness=i
             )
     return 1 - sum(g.p)
-
-
-def tilde_index_sets(g: GorensteinData) -> tuple[frozenset[Slot], frozenset[Slot]]:
-    """Index pairs of the endomorphism blocks: proper truncations and zero slots."""
-    proper = frozenset((s, i) for s in range(g.n) for i in range(1, -g.p[s] + 1))
-    return proper, frozenset(_zero_labels(g))
-
-
-def endo_block_dim(
-    m: ExponentMatrix, g: GorensteinData, source: Slot, target: Slot
-) -> int:
-    """Dimension of the endomorphism-algebra block between two summand slots.
-
-    For slots (s,i) and (t,j) of proper truncations the dimension is
-    [j - i >= m(nu(t), nu(s))]; maps out of a zero slot into a proper one
-    vanish; maps into a zero slot are one-dimensional.  Raises as
-    tilting_summands does.  With g = detect_gorenstein(m) this is
-    hom_dim(m, v, w, 0) = [w <= v] for the truncations v, w of rows nu(s),
-    nu(t) at i, j (zero exactly at zero slots): if j - i >= m(nu t, nu s),
-    w <= v by the triangle inequality; if w <= v, coordinate t gives
-    ell_t - j <= m(nu s, t) - i, and ell_t - m(nu s, t) = m(nu t, nu s).
-    """
-    grothendieck_rank(g)  # PositiveParameterError
-    _check_n_graded(m)
-    proper, zero_slots = tilde_index_sets(g)
-    for slot in (source, target):
-        if slot not in proper and slot not in zero_slots:
-            raise IndexOutOfRangeError(
-                f"slot {slot} is outside the summand index set", witness=list(slot)
-            )
-    (s, i), (t, j) = source, target
-    if target in zero_slots or source in zero_slots:
-        return int(target in zero_slots)
-    return int(j - i >= m.entry(g.nu(t), g.nu(s)))
 
 
 def cyclic_hasse_oracle(weights: Sequence[int]) -> Quiver:

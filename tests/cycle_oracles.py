@@ -5,6 +5,11 @@ the Floyd-Warshall check is cubic.  Each rejects inputs above a small size.
 The package's own cycle test is `tiledorder.find_negative_cycle`
 (Bellman-Ford predecessors); the tests compare it, and the normalization it
 drives, against these definitions.
+
+`cycle_sum`, `conjugate_matrix` and `nonneg_conjugate` are direct
+definitions that no command of the package needs; the tests check the
+package's cycle test and conjugations against them.  Only they raise
+`IndexOutOfRangeError` and `NegativeDiagonalError`.
 """
 
 from __future__ import annotations
@@ -12,14 +17,9 @@ from __future__ import annotations
 from itertools import combinations, permutations as iter_permutations
 from typing import Optional, Sequence
 
-from tiledorder import (
-    DomainError,
-    IndexOutOfRangeError,
-    TooLargeError,
-    conjugate_matrix,
-)
-from tiledorder.conjugation import _square
-from tiledorder.orders import Vector
+from tiledorder import DomainError, NegativeCycleError, TooLargeError
+from tiledorder.conjugation import _bellman_ford, _square
+from tiledorder.orders import Rows, Vector, check_shift, conjugate_rows
 
 BRUTEFORCE_LIMIT = 8
 MIN_CYCLE_LIMIT = 10
@@ -31,6 +31,60 @@ class NotMinCycleError(DomainError):
     """Raised by normalized_cycle_conjugate for a cycle that is not minimal."""
 
     code = "NotMinCycle"
+
+
+class IndexOutOfRangeError(DomainError):
+    code = "IndexOutOfRange"
+
+
+class NegativeDiagonalError(DomainError):
+    code = "NegativeDiagonal"
+
+
+def cycle_sum(matrix: Sequence[Sequence[int]], seq: Sequence[int]) -> int:
+    """Sum of m(i_k, i_{k+1}) around the cyclic sequence seq (indices may repeat)."""
+    rows = _square(matrix)
+    n = len(rows)
+    idx = tuple(seq)
+    if len(idx) == 0:
+        raise IndexOutOfRangeError("cycle sequence must be non-empty")
+    for i in idx:
+        if not 0 <= i < n:
+            raise IndexOutOfRangeError(f"index {i} out of range for n={n}", witness=i)
+    return sum(rows[idx[k]][idx[(k + 1) % len(idx)]] for k in range(len(idx)))
+
+
+def conjugate_matrix(matrix: Sequence[Sequence[int]], s: Sequence[int]) -> Rows:
+    rows = _square(matrix)
+    return conjugate_rows(rows, check_shift(s, len(rows)))
+
+
+def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
+    """A shift s with m(i,j) + s(i) - s(j) >= 0 everywhere, when one exists.
+
+    s is the vector of shortest-path potentials from a virtual source with
+    zero-weight edges to every vertex, so the result is deterministic.  Raises
+    NegativeDiagonalError(i) when some m(i,i) < 0 (no conjugate can fix the
+    diagonal; the cycle search reports these, and only these, as singleton
+    cycles) and NegativeCycleError with a witness cycle when the cycle test
+    fails.
+
+    s needs no check: the last Bellman-Ford pass relaxed nothing, so dist(j)
+    <= dist(i) + m(i,j) for i != j, and the diagonal is non-negative.
+    """
+    rows = _square(matrix)
+    dist, cycle = _bellman_ford(rows)
+    if cycle is not None and len(cycle) == 1:
+        i = cycle[0]
+        raise NegativeDiagonalError(
+            f"diagonal entry ({i},{i}) is negative", witness=i
+        )
+    if cycle is not None:
+        raise NegativeCycleError(
+            f"negative cycle {cycle} with sum {cycle_sum(rows, cycle)}",
+            witness=cycle,
+        )
+    return tuple(dist)
 
 
 def is_cycle_nonneg_bruteforce(matrix: Sequence[Sequence[int]]) -> bool:

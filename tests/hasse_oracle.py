@@ -8,14 +8,43 @@ with k-bit sets.  `tiledorder.hasse_quiver` reads the covers off the summand
 labels instead and must agree with both arrow for arrow on every poset,
 including cyclic orders with zero weights, where `cyclic_hasse_oracle` does
 not describe the covers.
+
+Beside them sit the lattice and endomorphism-block definitions that no
+command of the package needs: `is_lattice_vector`, `truncate_shift`,
+`hom_dim`, `tilde_index_sets` and `endo_block_dim`.  The tests check the
+summands against them, and the order rule of `tiledorder.TiltingPoset`
+against `leq`.  Only `hom_dim` raises `InvalidLatticeError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import groupby
+from operator import add
 
-from tiledorder import Quiver, TiltingPoset
-from tiledorder.tilting import check_hasse_size
+from tiledorder import (
+    DimensionMismatchError,
+    DomainError,
+    ExponentMatrix,
+    GorensteinData,
+    Quiver,
+    TiltingPoset,
+    grothendieck_rank,
+)
+from tiledorder.orders import Vector, freeze_vector
+from tiledorder.tilting import (
+    Slot,
+    _check_n_graded,
+    _truncate,
+    _zero_labels,
+    check_hasse_size,
+)
+
+from cycle_oracles import IndexOutOfRangeError
+
+
+class InvalidLatticeError(DomainError):
+    code = "InvalidLattice"
 
 
 def leq(v, w) -> bool:
@@ -86,3 +115,68 @@ def bitset_hasse_quiver(poset: TiltingPoset) -> Quiver:
             cand &= ~below[j]
         arrows.extend(reversed(covers))  # ascending (i, j) is the sorted order
     return Quiver(vertices=els, arrows=tuple(arrows))
+
+
+def _lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> tuple[Vector, bool]:
+    """v frozen, and whether it is the exponent vector of a rank-one lattice."""
+    vec = freeze_vector(v)
+    if len(vec) != m.n:
+        raise DimensionMismatchError(f"vector has length {len(vec)}, expected {m.n}")
+    return vec, all(x <= min(map(add, vec, col)) for x, col in zip(vec, m.transpose()))
+
+
+def is_lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> bool:
+    """Whether v is the exponent vector of a rank-one lattice over m."""
+    return _lattice_vector(m, v)[1]
+
+
+def truncate_shift(v: Sequence[int], j: int) -> Vector:
+    """Shift down by j and truncate at zero: max(v_i - j, 0) componentwise."""
+    return _truncate(freeze_vector(v), j)
+
+
+def hom_dim(m: ExponentMatrix, v: Sequence[int], w: Sequence[int], t: int) -> int:
+    """dim Hom in degree t between the lattices of v and w: 1 iff t >= max(w - v)."""
+    frozen = []
+    for vec in (v, w):
+        vec, ok = _lattice_vector(m, vec)
+        if not ok:
+            raise InvalidLatticeError(
+                "vector is not a valid rank-one lattice", witness=list(vec)
+            )
+        frozen.append(vec)
+    vv, ww = frozen
+    return 1 if t >= max(b - a for a, b in zip(vv, ww)) else 0
+
+
+def tilde_index_sets(g: GorensteinData) -> tuple[frozenset[Slot], frozenset[Slot]]:
+    """Index pairs of the endomorphism blocks: proper truncations and zero slots."""
+    proper = frozenset((s, i) for s in range(g.n) for i in range(1, -g.p[s] + 1))
+    return proper, frozenset(_zero_labels(g))
+
+
+def endo_block_dim(
+    m: ExponentMatrix, g: GorensteinData, source: Slot, target: Slot
+) -> int:
+    """Dimension of the endomorphism-algebra block between two summand slots.
+
+    For slots (s,i) and (t,j) of proper truncations the dimension is
+    [j - i >= m(nu(t), nu(s))]; maps out of a zero slot into a proper one
+    vanish; maps into a zero slot are one-dimensional.  Raises as
+    tilting_summands does.  With g = detect_gorenstein(m) this is
+    hom_dim(m, v, w, 0) = [w <= v] for the truncations v, w of rows nu(s),
+    nu(t) at i, j (zero exactly at zero slots), by the order rule of
+    tiledorder.TiltingPoset.
+    """
+    grothendieck_rank(g)  # PositiveParameterError
+    _check_n_graded(m)
+    proper, zero_slots = tilde_index_sets(g)
+    for slot in (source, target):
+        if slot not in proper and slot not in zero_slots:
+            raise IndexOutOfRangeError(
+                f"slot {slot} is outside the summand index set", witness=list(slot)
+            )
+    (s, i), (t, j) = source, target
+    if target in zero_slots or source in zero_slots:
+        return int(target in zero_slots)
+    return int(j - i >= m.entry(g.nu(t), g.nu(s)))

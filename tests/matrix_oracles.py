@@ -25,7 +25,6 @@ from tiledorder.conjugation import (
     conjugate_data,
     find_negative_cycle,
     floor_align,
-    nonneg_conjugate,
 )
 from tiledorder.errors import (
     AmbiguousNakayamaError,
@@ -38,6 +37,7 @@ from tiledorder.errors import (
 from tiledorder.gorenstein import GorensteinData
 from tiledorder.orders import ExponentMatrix, Permutation, Rows, Vector
 
+from cycle_oracles import nonneg_conjugate
 from helpers import Fold, power_images
 
 

@@ -13,32 +13,33 @@ from tiledorder import (
     ExponentMatrix,
     NegativeCycleError,
     PositiveParameterError,
-    conjugate_matrix,
-    cycle_sum,
     cyclic_hasse_oracle,
     cyclic_order,
     detect_gorenstein,
-    endo_block_dim,
     grothendieck_rank,
     hasse_quiver,
-    hom_dim,
     morita_shift,
-    nonneg_conjugate,
     normalize_equivariant,
     order_equivariant_data,
     shifted_parameters,
-    tilde_index_sets,
     tilting_poset,
     tilting_summands,
 )
 
-from cycle_oracles import is_cycle_nonneg_bruteforce, min_cycle
+from cycle_oracles import (
+    conjugate_matrix,
+    cycle_sum,
+    is_cycle_nonneg_bruteforce,
+    min_cycle,
+    nonneg_conjugate,
+)
 from equivariant_templates import (
     SYMBOLS,
     two_orbit_block_min,
     two_orbit_data,
     two_orbit_summed,
 )
+from hasse_oracle import endo_block_dim, hom_dim, tilde_index_sets
 from helpers import kernel_fold
 
 

@@ -3,7 +3,10 @@
 Inside the package, functions pass the tuples they already hold, so a public
 entry point is the only place where a list becomes a tuple, a float entry is
 refused and a length is checked.  Each case calls one entry point with valid
-tuple data, the same data as lists, a float entry and a wrong shape.
+tuple data, the same data as lists, a float entry and a wrong shape.  The
+test oracles `cycle_sum`, `nonneg_conjugate`, `conjugate_matrix`,
+`is_lattice_vector`, `hom_dim` and `truncate_shift` freeze and check their
+arguments the same way, and are pinned here too.
 """
 
 import pytest
@@ -11,19 +14,16 @@ import pytest
 from tiledorder import (
     DimensionMismatchError,
     conjugate_data,
-    conjugate_matrix,
-    cycle_sum,
     cyclic_order,
     equivariant_data,
     find_negative_cycle,
-    hom_dim,
-    is_lattice_vector,
     morita_shift,
-    nonneg_conjugate,
     order_equivariant_data,
     shifted_parameters,
-    truncate_shift,
 )
+
+from cycle_oracles import conjugate_matrix, cycle_sum, nonneg_conjugate
+from hasse_oracle import hom_dim, is_lattice_vector, truncate_shift
 
 M4, G4 = cyclic_order((1, 1, 1, 1))
 ED4 = order_equivariant_data(M4, G4)

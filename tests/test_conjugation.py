@@ -6,29 +6,29 @@ from hypothesis import given, strategies as st
 
 from tiledorder import (
     EquivarianceViolationError,
-    IndexOutOfRangeError,
     NegativeCycleError,
-    NegativeDiagonalError,
     Permutation,
     TooLargeError,
     conjugate_data,
-    conjugate_matrix,
-    cycle_sum,
     cyclic_order,
     equivariant_data,
     find_negative_cycle,
     floor_align,
-    nonneg_conjugate,
     normalize_equivariant,
     order_equivariant_data,
 )
 
 from cycle_oracles import (
+    IndexOutOfRangeError,
+    NegativeDiagonalError,
     NotMinCycleError,
+    conjugate_matrix,
+    cycle_sum,
     has_negative_cycle_floyd_warshall,
     is_cycle_nonneg_bruteforce,
     min_cycle,
     negative_simple_cycles,
+    nonneg_conjugate,
     normalized_cycle_conjugate,
 )
 from equivariant_templates import (

@@ -354,7 +354,7 @@ class TestMoritaShift:
 
     @given(shifted_cyclic())
     def test_cycle_sums_invariant(self, m):
-        from tiledorder import cycle_sum
+        from cycle_oracles import cycle_sum
 
         seq = tuple(range(m.n))
         shifted = morita_shift(m, tuple((i * i) % 3 for i in range(m.n)))
