@@ -48,7 +48,7 @@ def cmd_validate(args) -> int:
 
     source = files.read_order_file(args.order)
     if source.kind == "cyclic":
-        rows = files.order_matrix(source).rows  # construction cannot be invalid
+        rows = files.order_pair(source)[0].rows  # construction cannot be invalid
     else:
         rows = source.matrix
     report = validate_order(rows)
@@ -71,10 +71,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gorenstein(args) -> int:
-    from .gorenstein import detect_gorenstein
-
-    m = files.order_matrix(files.read_order_file(args.order))
-    g = detect_gorenstein(m)
+    _, g = files.order_pair(files.read_order_file(args.order))
     print(f"nu: {_vector_str(g.nu.images)}")
     print(f"ell: {_vector_str(g.ell)}")
     print(f"p: {_vector_str(g.p)}")
@@ -84,11 +81,10 @@ def cmd_gorenstein(args) -> int:
 
 def cmd_normalize(args) -> int:
     from .conjugation import normalize_equivariant, order_equivariant_data
-    from .gorenstein import detect_gorenstein, shifted_parameters
+    from .gorenstein import shifted_parameters
     from .orders import morita_shift
 
-    m = files.order_matrix(files.read_order_file(args.order))
-    g = detect_gorenstein(m)
+    m, g = files.order_pair(files.read_order_file(args.order))
     # normalize_equivariant's postconditions on (m^T, -p, nu) conjugated by s
     # are this order's: the conjugated matrix is shifted^T (non-negative) and
     # the twist is -new_p (within 1 of -p_av).
@@ -111,11 +107,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_tilting(args) -> int:
-    from .gorenstein import detect_gorenstein
     from .tilting import grothendieck_rank, tilting_summands
 
-    m = files.order_matrix(files.read_order_file(args.order))
-    g = detect_gorenstein(m)
+    m, g = files.order_pair(files.read_order_file(args.order))
     summands = tilting_summands(m, g)
     print(f"rank: {grothendieck_rank(g)}")
     for labels, vec in summands:
@@ -125,7 +119,6 @@ def cmd_tilting(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    from .gorenstein import detect_gorenstein
     from .tilting import (
         check_hasse_size,
         cyclic_hasse_oracle,
@@ -135,8 +128,7 @@ def cmd_quiver(args) -> int:
     )
 
     source = files.read_order_file(args.order)
-    m = files.order_matrix(source)
-    g = detect_gorenstein(m)
+    m, g = files.order_pair(source)
     check_hasse_size(grothendieck_rank(g))  # before enumerating the summands
     quiver = hasse_quiver(tilting_poset(m, g))
     lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.arrows)}"]

@@ -173,9 +173,9 @@ def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantD
     The equivariance relation holds for the transposed exponent matrix (entry
     (i,j) records degrees of maps from projective j into projective i) with
     twist = -p; conjugating here by s matches morita_shift(m, -s) on the order
-    side.  Requires g = detect_gorenstein(m) or cyclic_order's pair, and then
-    checks nothing: m(nu i, nu j) = m(i,j) + p_j - p_i transposes to the
-    relation for twist -p, and every nu-orbit has parameter average p_av.
+    side.  Requires the pair of ``files.order_pair``, g = detect_gorenstein(m),
+    and then checks nothing: m(nu i, nu j) = m(i,j) + p_j - p_i transposes to
+    the relation for twist -p, and every nu-orbit has parameter average p_av.
     """
     return EquivariantData(
         matrix=m.transpose(),

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from .errors import InputFileError, TooLargeError
+from .errors import DomainError, InputFileError, TooLargeError
 from .orders import ExponentMatrix, Permutation, Record, Vector
+from .orders import _check_triangle, _square
 
 # Largest n an order or equivariant-data file may have.  The slowest input
 # of that size known, a descending chain (m(i+1,i) = -1, other entries n)
@@ -111,14 +112,24 @@ def read_order_file(path) -> OrderSource:
     raise InputFileError('field "kind" must be "matrix" or "cyclic"')
 
 
-def order_matrix(source: OrderSource) -> ExponentMatrix:
-    """The exponent matrix of a parsed order file (may raise DomainError)."""
-    if source.kind == "cyclic":
-        from .gorenstein import cyclic_order
+def order_pair(source: OrderSource) -> tuple[ExponentMatrix, GorensteinData]:
+    """(m, g) as ``cyclic_order``, or ``from_rows`` then ``detect_gorenstein``.
 
-        m, _ = cyclic_order(source.weights)
-        return m
-    return ExponentMatrix.from_rows(source.matrix)
+    One pattern match serves both: the triangle scan reads one row per orbit
+    of the nu detected, or every row before a failed detection is re-raised.
+    """
+    from .gorenstein import cyclic_order, detect_gorenstein
+
+    if source.kind == "cyclic":
+        return cyclic_order(source.weights)
+    m = ExponentMatrix(_square(source.matrix))
+    try:
+        g = detect_gorenstein(m)
+    except DomainError:
+        _check_triangle(m.rows)
+        raise
+    _check_triangle(m.rows, g.nu)
+    return m, g
 
 
 def _matrix_lines(rows: Sequence[Sequence[int]]) -> list[str]:

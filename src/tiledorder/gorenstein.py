@@ -51,8 +51,7 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
     so every orbit has parameter average p_av.
 
-    The rows fitting each column come from ``orders._nakayama_fits``, the one
-    row/column pattern matcher, which ``ExponentMatrix.from_rows`` also runs.
+    The fits come from ``orders._nakayama_fits``, the one pattern matcher.
 
     The images form a bijection, so Permutation never raises here; this
     needs no triangle inequality.  Once every column fits exactly one row,

@@ -105,7 +105,7 @@ def first_triangle_violation(
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
     Only rows i in ``scanned`` (increasing; all when None) are scanned: with
-    a Nakayama permutation its orbits' least points suffice (see from_rows).
+    a Nakayama permutation its orbits' least points suffice (see _check_triangle).
     Rows are packed into ints, field k (w = 8 * size bits) of P_j holding
     m(j,k) + half, half = 2**(w-1).  Each defect d = m(i,j) + m(j,k) - m(i,k)
     has |d| <= 2 * (max(0, max m) - min(0, min m)) < half, so every field of
@@ -180,6 +180,26 @@ def first_negative(rows: Rows) -> tuple[int, int] | None:
     return None
 
 
+def _check_triangle(rows: Rows, nu: Permutation | None = None) -> None:
+    """TriangleViolationError at the first violation; one row per orbit of nu.
+
+    nu (all rows when None) must satisfy m(nu i, x) + m(x, i) = ell_i for all
+    i, x.  At x = nu j, and for j at x = i, that gives m(nu i, nu j) = m(i,j)
+    + ell_i - ell_j, so the ells cancel in d(nu i, nu j, nu k) = d(i,j,k),
+    the triangle defect.  A violation in row i recurs in the row of its
+    orbit's least point, and ``orbits`` lists those in increasing order: the
+    first violating one holds the first violation overall.  The triangle
+    inequality is not used.
+    """
+    bases = None if nu is None else [orbit[0] for orbit in nu.orbits()]
+    violation = first_triangle_violation(rows, bases)
+    if violation is not None:
+        i, j, k = violation
+        raise TriangleViolationError(
+            f"m({i},{j}) + m({j},{k}) < m({i},{k})", witness=violation
+        )
+
+
 class OrderReport(Record):
     """Outcome of validating a candidate exponent matrix."""
 
@@ -214,8 +234,8 @@ class ExponentMatrix(Record):
     """An exponent matrix: square, zero diagonal, triangle inequality.
 
     ``from_rows`` is the validating constructor.  The plain one checks nothing
-    and is used only where the docstring proves the result valid
-    (``morita_shift``, ``cyclic_order``).
+    and is used only where the result is proven (``morita_shift``,
+    ``cyclic_order``) or checked (``files.order_pair``) valid.
     """
 
     rows: Rows
@@ -224,27 +244,13 @@ class ExponentMatrix(Record):
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
         """Validate rows: NonSquare, then NonzeroDiagonal, then TriangleViolation.
 
-        When each column fits exactly one row (``detect_gorenstein``'s
-        matcher; its docstring shows these rows distinct), the scan reads one
-        row per orbit of that nu.  The relation m(nu i, x) + m(x, i) = ell_i
-        at x = nu j, and for j at x = i, gives m(nu i, nu j) = m(i,j) + ell_i
-        - ell_j, so the ells cancel in d(nu i, nu j, nu k) = d(i,j,k), the
-        triangle defect.  A violation in row i recurs in the row of its
-        orbit's least point, and ``orbits`` lists those in increasing order:
-        the first violating one holds the first violation overall.  The
-        triangle inequality is not used.
+        When each column fits exactly one row (``detect_gorenstein`` shows
+        these rows distinct), ``_check_triangle`` reads one per orbit of that nu.
         """
         frozen = _square(rows)
         images = [u for fit in _nakayama_fits(frozen) if len(fit) == 1 for u in fit]
-        bases = None
-        if len(images) == len(frozen):
-            bases = [orbit[0] for orbit in Permutation(images).orbits()]
-        violation = first_triangle_violation(frozen, bases)
-        if violation is not None:
-            i, j, k = violation
-            raise TriangleViolationError(
-                f"m({i},{j}) + m({j},{k}) < m({i},{k})", witness=violation
-            )
+        nu = Permutation(images) if len(images) == len(frozen) else None
+        _check_triangle(frozen, nu)
         return cls(frozen)
 
     @property
@@ -259,14 +265,6 @@ class ExponentMatrix(Record):
 
     def transpose(self) -> Rows:
         return tuple(zip(*self.rows))
-
-    @property
-    def is_basic(self) -> bool:
-        return _is_basic(self.rows)
-
-    @property
-    def is_n_graded(self) -> bool:
-        return first_negative(self.rows) is None
 
 
 class Permutation(Record):

@@ -69,7 +69,7 @@ def tilting_summands(
     sum(p) vectors.  Requires all p_i <= 0, then k * n <= TILTING_LIMIT
     (TooLargeError, witness k * n, before any summand is built), then an
     N-graded m (NotNGradedError, witness the first negative entry in
-    row-major order), and g = detect_gorenstein(m) or cyclic_order's pair.
+    row-major order), and g = detect_gorenstein(m), as ``files.order_pair`` gives.
     Why none of the rest needs a check:
     - m(nu(s), j) = ell_s - m(j, s) <= ell_s = 1 - p_s, equal at j = s.
     - (s, j) != (t, k) give different vectors: coordinate s differs if

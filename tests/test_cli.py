@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from tiledorder import Quiver, cli, files, gorenstein, tilting
+from tiledorder import Quiver, cli, files, gorenstein, orders, tilting
 from tiledorder.cli import main
 
 from test_files import DOT_1111
@@ -291,8 +291,7 @@ class TestNormalize:
         # be N-graded and keep every parameter within 1 of the average
         from fractions import Fraction
 
-        from tiledorder import detect_gorenstein
-        from tiledorder.files import order_matrix, read_order_file
+        from tiledorder.files import order_pair, read_order_file
 
         path = tmp_path / "in.json"
         path.write_text(text)
@@ -306,9 +305,9 @@ class TestNormalize:
         )
         printed_p = tuple(json.loads(fields["p'"]))
         p_av = Fraction(fields["p_av"])
-        shifted = order_matrix(read_order_file(out_path))
-        assert shifted.is_n_graded
-        assert detect_gorenstein(shifted).p == printed_p
+        shifted, g = order_pair(read_order_file(out_path))
+        assert orders.first_negative(shifted.rows) is None
+        assert g.p == printed_p
         assert all(abs(x - p_av) < 1 for x in printed_p)
 
 
@@ -393,10 +392,10 @@ class TestUnwritableOutput:
 
 class TestInternalFailure:
     def test_stage_exception_exit_3(self, unit_cyclic_file, capsys, monkeypatch):
-        def broken(m):
+        def broken(weights):
             raise RuntimeError("stage failed")
 
-        monkeypatch.setattr(gorenstein, "detect_gorenstein", broken)
+        monkeypatch.setattr(gorenstein, "cyclic_order", broken)
         code, out, err = run(capsys, "gorenstein", str(unit_cyclic_file))
         assert code == 3
         assert out == ""
@@ -437,6 +436,45 @@ class TestInternalFailure:
         assert code == 0
         assert err == ""
         assert out.splitlines()[-1] == "oracle: ISOMORPHIC"
+
+
+# One order file per outcome of the (m, g) step: the pair, or each rejection.
+PAIR_FILES = {
+    "cyclic": '{"kind": "cyclic", "weights": [1, 2, 0]}',
+    "gorenstein": '{"kind": "matrix", "m": [[0, 1, 2], [2, 0, 1], [1, 2, 0]]}',
+    "not-graded": NOT_GRADED,
+    "triangle": '{"kind": "matrix", "m": [[0, 1], [-2, 0]]}',
+    "triangle-not-gorenstein": '{"kind": "matrix", "m": [[0, 0, 0], [0, 0, 0], [1, 0, 0]]}',
+    "triangle-ambiguous": '{"kind": "matrix", "m": [[0, 0, 0], [0, 0, 0], [0, 1, 0]]}',
+    "not-gorenstein": '{"kind": "matrix", "m": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}',
+    "ambiguous": '{"kind": "matrix", "m": [[0, 0], [0, 0]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["gorenstein", "normalize", "tilting", "quiver"])
+def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, command):
+    """A matrix file is pattern-matched once, accepted or not; a cyclic file never."""
+    real, calls = orders._nakayama_fits, []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(orders, "_nakayama_fits", spy)
+    monkeypatch.setattr(gorenstein, "_nakayama_fits", spy)  # bound by import there
+    outcomes = {}
+    for name, text in PAIR_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        calls.clear()
+        code, _, err = run(capsys, command, str(path))
+        outcomes[name] = only_stderr_json(err)["code"] if code else "ok"
+        assert len(calls) == (name != "cyclic"), name
+    assert outcomes["gorenstein"] == "ok"
+    assert outcomes["triangle-not-gorenstein"] == "TriangleViolation"
+    assert outcomes["triangle-ambiguous"] == "TriangleViolation"
+    assert outcomes["not-gorenstein"] == "NotGorenstein"
+    assert outcomes["ambiguous"] == "AmbiguousNakayama"
 
 
 class TestFileLimit:

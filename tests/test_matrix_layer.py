@@ -37,7 +37,7 @@ from tiledorder import (
     order_equivariant_data,
     validate_order,
 )
-from tiledorder import conjugation, orders
+from tiledorder import conjugation, files, orders
 from tiledorder.orders import first_triangle_violation
 
 from equivariant_templates import SYMBOLS, two_orbit_data, two_orbit_order
@@ -287,6 +287,18 @@ def from_rows_outcome(rows, build=ExponentMatrix.from_rows):
     return built.rows if isinstance(built, ExponentMatrix) else built
 
 
+def file_pair(rows):
+    """``files.order_pair`` on a matrix file's source: its rows and g."""
+    m, g = files.order_pair(files.OrderSource(kind="matrix", matrix=rows))
+    return m.rows, g
+
+
+def built_pair(rows):
+    """from_rows, then detection: the outcome ``order_pair`` must match."""
+    m = ExponentMatrix.from_rows(rows)
+    return m.rows, detect_gorenstein(m)
+
+
 def two_cycle_product(weights, labels, shift):
     """Product of the 2-cycle cyclic orders of the weight pairs: n = 2**len(weights).
 
@@ -345,13 +357,20 @@ class TestBaseRowScan:
     Each case compares `from_rows` (rows, or error class and witness) with
     `matrix_oracles.from_rows`, which checks the structure and scans every
     row with the triple loop, and records which rows the package scanned.
+    `files.order_pair` must give what `from_rows` then `detect_gorenstein`
+    give (pair, or error class and witness), scanning the same rows.
     """
 
     def check(self, rows, scans):
         """The rows scanned by one from_rows call, after comparing its outcome."""
         scans.clear()
         assert from_rows_outcome(rows) == from_rows_outcome(rows, matrix_oracles.from_rows)
-        return scans[-1] if scans else None
+        scanned = scans[-1] if scans else None
+        scans.clear()
+        got = from_rows_outcome(rows, file_pair)
+        assert scans == ([] if scanned is None else [scanned])
+        assert got == from_rows_outcome(rows, built_pair)
+        return scanned
 
     @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
     def test_shuffled_cyclic_orders(self, scale, scans):
@@ -416,7 +435,8 @@ class TestBaseRowScan:
         assert len(bases) == 128
         scans.clear()
         assert ExponentMatrix.from_rows(rows).rows == rows
-        assert scans == [bases]
+        assert file_pair(rows) == built_pair(rows)
+        assert scans == [bases, bases, bases]
         images = detect_gorenstein(ExponentMatrix(rows)).nu.images
         witnesses = 0
         for delta in (1, 2, 3, 5, 8, 13):
@@ -427,6 +447,7 @@ class TestBaseRowScan:
             scans.clear()
             got = from_rows_outcome(bad)
             assert scans[0] == bases
+            assert from_rows_outcome(bad, file_pair) == from_rows_outcome(bad, built_pair)
             if full is None:
                 assert got == bad
             else:
@@ -437,7 +458,7 @@ class TestBaseRowScan:
     def test_ambiguous_and_missing_fits(self, scans):
         # no fit or several fits for some column: the full scan runs
         rng = random.Random(438)
-        kinds = {}
+        kinds, broken = {}, {}
         for _ in range(6000):
             n = rng.randint(1, 4)
             rows = tuple(
@@ -446,10 +467,29 @@ class TestBaseRowScan:
             )
             kind = fit_kind(rows)
             kinds[kind] = kinds.get(kind, 0) + 1
+            if not validate_order(rows).triangle_ok:  # reported ahead of detection
+                broken[kind] = broken.get(kind, 0) + 1
             scanned = self.check(rows, scans)
             assert scanned == (base_points(rows) if kind == "nu" else list(range(n)))
-        assert set(kinds) == {"none", "ambiguous", "nu"}
+        assert set(kinds) == set(broken) == {"none", "ambiguous", "nu"}
         assert min(kinds.values()) > 20
+
+    @pytest.mark.parametrize(
+        "rows, detected, witness",
+        [
+            (((0, 0, 0), (0, 0, 0), (1, 0, 0)), (NotGorensteinError, 0), (2, 1, 0)),
+            (
+                ((0, 0, 0), (0, 0, 0), (0, 1, 0)),
+                (AmbiguousNakayamaError, (0, [0, 1])),
+                (2, 0, 1),
+            ),
+        ],
+        ids=["not-gorenstein", "ambiguous"],
+    )
+    def test_triangle_violation_beats_failed_detection(self, rows, detected, witness):
+        assert outcome(detect_gorenstein, ExponentMatrix(rows)) == detected
+        assert from_rows_outcome(rows, file_pair) == (TriangleViolationError, witness)
+        assert from_rows_outcome(rows, built_pair) == (TriangleViolationError, witness)
 
     def test_unique_fits_form_a_bijection(self):
         # detect_gorenstein's argument needs no triangle inequality: on every
@@ -482,6 +522,7 @@ class TestBaseRowScan:
                 rows[i] = rows[i] + [0] if rng.random() < 0.5 else rows[i][:-1]
             got = from_rows_outcome(rows)
             assert got == from_rows_outcome(rows, matrix_oracles.from_rows)
+            assert from_rows_outcome(rows, file_pair) == from_rows_outcome(rows, built_pair)
             seen.add(got[0] if got and isinstance(got[0], type) else "ok")
         assert seen == {
             "ok", NonSquareError, NonzeroDiagonalError, TriangleViolationError

@@ -21,7 +21,7 @@ from tiledorder import (
     tilting_poset,
     tilting_summands,
 )
-from tiledorder import tilting
+from tiledorder import orders, tilting
 from tiledorder.tilting import HASSE_LIMIT
 
 from equivariant_templates import two_orbit_order
@@ -86,7 +86,7 @@ def n_graded_gorenstein_orders(seed, count):
                     [[shifted.entry(o[i], o[j]) for j in range(n)] for i in range(n)]
                 )
         g = detect_gorenstein(m)
-        if m.is_n_graded and all(x <= 0 for x in g.p):
+        if orders.first_negative(m.rows) is None and all(x <= 0 for x in g.p):
             out.append((m, g))
     return out
 
@@ -112,7 +112,7 @@ def product_orders(seed, count, orbits):
         shift = [rng.randint(-1, 1) for _ in range(n)]
         m = product_order(w1, w2, rng.sample(range(n), n), shift)
         g = detect_gorenstein(m)
-        if m.is_n_graded and all(x <= 0 for x in g.p):
+        if orders.first_negative(m.rows) is None and all(x <= 0 for x in g.p):
             out.append((m, g))
     return out
 
@@ -144,7 +144,7 @@ def morita_shifted_orders():
         m, _ = cyclic_order(w)
         shifted = morita_shift(m, tuple(rng.randint(-2, 2) for _ in range(n)))
         g = detect_gorenstein(shifted)
-        if not shifted.is_n_graded or any(x > 0 for x in g.p):
+        if orders.first_negative(shifted.rows) is not None or any(x > 0 for x in g.p):
             continue
         out.append((shifted, g))
     return out
@@ -165,7 +165,7 @@ def relabeled_shifted_orders():
             rng.sample(range(n), n),
         )
         g = detect_gorenstein(m)
-        if not m.is_n_graded or any(x > 0 for x in g.p):
+        if orders.first_negative(m.rows) is not None or any(x > 0 for x in g.p):
             continue
         out.append((m, g))
     return out
@@ -328,7 +328,7 @@ class TestSummands:
         g = detect_gorenstein(m)
         if any(x > 0 for x in g.p):
             return
-        if m.is_n_graded:
+        if orders.first_negative(m.rows) is None:
             assert len(tilting_summands(m, g)) == 1 - sum(g.p)
             return
         with pytest.raises(NotNGradedError) as ei:
@@ -481,7 +481,7 @@ class TestHasse:
 
     def test_matches_oracles_two_orbit_shifts(self):
         for m, g in two_orbit_shifts():
-            assert m.is_n_graded and len(g.nu.orbits()) == 2
+            assert orders.first_negative(m.rows) is None and len(g.nu.orbits()) == 2
             assert_covers_match(m, g)
 
     def test_matches_oracles_products(self):
