@@ -112,9 +112,12 @@ def cmd_tilting(args) -> int:
     m, g = files.order_pair(files.read_order_file(args.order))
     summands = tilting_summands(m, g)
     print(f"rank: {grothendieck_rank(g)}")
+    line = "(%d,%d) -> " + files.label_format(m.n)  # one slot, non-zero vector
     for labels, vec in summands:
-        label_str = " ".join(f"({s},{j})" for s, j in labels)
-        print(f"{label_str} -> {files.vector_label(vec)}")
+        if any(vec):
+            print(line % (labels[0] + vec))
+        else:  # the zero summand, with its n slots
+            print(" ".join(["(%d,%d)" % slot for slot in labels]), "-> 0")
     return 0
 
 

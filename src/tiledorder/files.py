@@ -43,13 +43,17 @@ def _as_int(value, what: str) -> int:
 def _as_int_vector(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise InputFileError(f"{what} must be a non-empty list of integers")
-    return tuple(_as_int(x, what) for x in value)
+    if set(map(type, value)) != {int}:  # bool is an int subclass, so it lands here
+        for x in value:  # raises for the first bad entry
+            _as_int(x, what)
+    return tuple(value)
 
 
 def _as_int_matrix(value, what: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list) or not value:
         raise InputFileError(f"{what} must be a non-empty list of rows")
-    return tuple(_as_int_vector(row, f"{what} row") for row in value)
+    what = f"{what} row"
+    return tuple([_as_int_vector(row, what) for row in value])
 
 
 class OrderSource(Record):
@@ -199,22 +203,43 @@ def write_equivariant_file(path, ed: EquivariantData) -> None:
     write_text(path, equivariant_file_text(ed))
 
 
+def label_format(n: int) -> str:
+    """The "%d" template of a length-n label: "(%d,%d,%d)" for n = 3."""
+    return "(" + ",".join(["%d"] * n) + ")"
+
+
 def vector_label(vec: Vector) -> str:
-    """Node label for an exponent vector: "(2,0,1)", and plain "0" for zero."""
+    """Node label for an exponent vector: "(2,0,1)", and plain "0" for zero.
+
+    The entries fill one "%d" each of the template for the vector's length.
+    """
     if not any(vec):
         return "0"
-    return repr(vec).replace(" ", "").replace(",)", ")")  # a 1-tuple reads "(x,)"
+    return label_format(len(vec)) % vec
 
 
 def quiver_dot(q: Quiver) -> str:
     """Deterministic DOT text: vertices then arrows, in their sorted order.
 
-    Each vertex is labelled once; an arrow end is the vertex object it equals
-    (see Quiver), so its label is found by identity without hashing the
-    vector.  Cost: one repr per vertex and one line per arrow.
+    Vertices of one length n are labelled through one template built per
+    call, and the label equal to the zero vector's becomes "0"; vertices of
+    mixed lengths go through vector_label one by one.  An arrow end is the
+    vertex object it equals (see Quiver), so its label is found by identity
+    without hashing the vector.  Cost: one format per vertex and one line per
+    arrow.
     """
-    labels = list(map(vector_label, q.vertices))
-    label = dict(zip(map(id, q.vertices), labels))
+    vertices = q.vertices
+    lengths = set(map(len, vertices))
+    if len(lengths) == 1:
+        (n,) = lengths
+        fmt = label_format(n)
+        labels = list(map(fmt.__mod__, vertices))
+        zero = fmt % ((0,) * n)
+        for _ in range(labels.count(zero)):  # once, unless a vertex repeats
+            labels[labels.index(zero)] = "0"
+    else:
+        labels = list(map(vector_label, vertices))
+    label = dict(zip(map(id, vertices), labels))
     lines = ["digraph hasse {"]
     lines += [f'  "{s}";' for s in labels]
     lines += [f'  "{label[id(a)]}" -> "{label[id(b)]}";' for a, b in q.arrows]

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from tiledorder import Quiver, cli, files, gorenstein, orders, tilting
 from tiledorder.cli import main
 
-from test_files import DOT_1111
+from test_files import DOT_1111, oracle_quiver_dot
 
 
 def run(capsys, *argv):
@@ -137,15 +138,32 @@ class TestGorenstein:
         assert payload["witness"] == 0
 
 
+# `tilting` on weights (1, 1, 1, 1): SUMMANDS_1111 of test_tilting, a line each
+TILTING_1111 = """rank: 9
+(0,1) -> (2,0,0,1)
+(0,2) -> (1,0,0,0)
+(0,3) (1,3) (2,3) (3,3) -> 0
+(1,1) -> (1,2,0,0)
+(1,2) -> (0,1,0,0)
+(2,1) -> (0,1,2,0)
+(2,2) -> (0,0,1,0)
+(3,1) -> (0,0,1,2)
+(3,2) -> (0,0,0,1)
+"""
+
+
 class TestTilting:
     def test_unit_cyclic(self, unit_cyclic_file, capsys):
         code, out, _ = run(capsys, "tilting", str(unit_cyclic_file))
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "rank: 9"
-        assert "(0,1) -> (2,0,0,1)" in lines
-        assert "(0,3) (1,3) (2,3) (3,3) -> 0" in lines
-        assert len(lines) == 10
+        assert out == TILTING_1111
+
+    def test_zero_summand_only(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "cyclic", "weights": [1, 1]}')
+        code, out, _ = run(capsys, "tilting", str(path))
+        assert code == 0
+        assert out == "rank: 1\n(0,1) (1,1) -> 0\n"
 
     def test_positive_parameter(self, tmp_path, capsys):
         path = tmp_path / "w.json"
@@ -188,6 +206,19 @@ class TestQuiver:
         assert "vertices: 9" in out
         assert "arrows: 12" in out
         assert dot.read_text() == DOT_1111
+
+    def test_dot_matches_oracle_at_bench_shape(self, tmp_path, capsys):
+        # the largest long cycle of the benchmark's poset jobs: n = 30, sum 32
+        rng = random.Random(1720)
+        weights = [1] * 30
+        for i in rng.sample(range(30), 2):
+            weights[i] = 2
+        path, dot = tmp_path / "w.json", tmp_path / "h.dot"
+        path.write_text(json.dumps({"kind": "cyclic", "weights": weights}))
+        code, _, _ = run(capsys, "quiver", str(path), "--dot", str(dot))
+        assert code == 0
+        q = tilting.hasse_quiver(tilting.tilting_poset(*gorenstein.cyclic_order(weights)))
+        assert dot.read_text() == oracle_quiver_dot(q)
 
     def test_oracle_flag(self, unit_cyclic_file, capsys):
         code, out, _ = run(capsys, "quiver", str(unit_cyclic_file), "--oracle")

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +46,26 @@ def oracle_quiver_dot(q: Quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The per-entry reader that _as_int_vector and _as_int_matrix replaced, kept
+# as the oracle for their results and messages: two isinstance tests a value.
+def oracle_as_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFileError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def oracle_as_int_vector(value, what: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise InputFileError(f"{what} must be a non-empty list of integers")
+    return tuple(oracle_as_int(x, what) for x in value)
+
+
+def oracle_as_int_matrix(value, what: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise InputFileError(f"{what} must be a non-empty list of rows")
+    return tuple(oracle_as_int_vector(row, f"{what} row") for row in value)
+
+
 def twin(v):
     """A vector equal to v that is another object."""
     return tuple(list(v))
@@ -68,6 +90,7 @@ HAND_QUIVERS = [
             (twin((10**20, -1)), twin((2, -5))),
         ),
     ),
+    Quiver(((0, 0), (1, 0), (0, 0)), ((twin((1, 0)), twin((0, 0))),)),  # a repeat
 ]
 
 DOT_1111 = """digraph hasse {
@@ -128,6 +151,46 @@ def test_dot_matches_oracle_on_hand_quivers(q):
     assert quiver_dot(q) == oracle_quiver_dot(q)
 
 
+ENTRY_POOL = (0, 0, 0, 1, 2, -1, -7, 10**40, -(10**40), 10**40 + 1)
+
+
+def random_vector(rng, n):
+    """Length n, entries mostly small and often zero, some of size 10**40."""
+    return tuple(
+        rng.choice(ENTRY_POOL) if rng.random() < 0.5 else rng.randint(-30, 30)
+        for _ in range(n)
+    )
+
+
+def random_quiver(rng, lengths):
+    """Up to 12 distinct vectors with lengths from lengths, often with a zero
+    vector, sorted; random distinct arrows whose ends are other objects."""
+    vertices = {random_vector(rng, rng.choice(lengths)) for _ in range(rng.randint(0, 12))}
+    if rng.random() < 0.6:
+        vertices.add((0,) * rng.choice(lengths))
+    vertices = sorted(vertices)
+    pairs = {(rng.choice(vertices), rng.choice(vertices)) for _ in range(len(vertices))}
+    return Quiver(tuple(vertices), tuple((twin(a), twin(b)) for a, b in sorted(pairs)))
+
+
+def test_vector_label_matches_oracle_seeded():
+    rng = random.Random(1717)
+    vectors = [(0,) * n for n in range(9)]
+    vectors += [random_vector(rng, rng.randint(0, 8)) for _ in range(3000)]
+    for vec in vectors:
+        assert vector_label(vec) == oracle_vector_label(vec), vec
+
+
+def test_dot_matches_oracle_on_seeded_quivers():
+    rng = random.Random(1718)
+    for _ in range(200):  # one length each: the template path
+        q = random_quiver(rng, [rng.randint(0, 8)])
+        assert quiver_dot(q) == oracle_quiver_dot(q), q
+    for _ in range(200):  # mixed lengths: label by label
+        q = random_quiver(rng, rng.sample(range(9), rng.randint(2, 4)))
+        assert quiver_dot(q) == oracle_quiver_dot(q), q
+
+
 class TestOrderFiles:
     def test_matrix_round_trip(self, tmp_path):
         src = OrderSource(kind="matrix", matrix=CYCLIC_1111)
@@ -181,6 +244,66 @@ class TestOrderFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFileError):
             read_order_file(tmp_path / "nope.json")
+
+
+# A bad entry (true, 1.0, "1", null) at the first, middle or last place of a
+# row of three gets the message of the per-entry oracle, in every int field.
+BAD_ENTRIES = ["true", "1.0", '"1"', "null"]
+ORDER_FIELDS = {  # file text, {row} standing for the row with the bad entry
+    "m": '{"kind": "matrix", "m": [[0, 1, 2], {row}, [1, 2, 0]]}',
+    "weights": '{"kind": "cyclic", "weights": {row}}',
+}
+MDATA_FIELDS = {
+    "m": '{"m": [[0, 1, 2], {row}, [1, 2, 0]], "a": [0, 0, 0], "nu": [1, 2, 0]}',
+    "a": '{"m": [[0, 1, 2], [2, 0, 1], [1, 2, 0]], "a": {row}, "nu": [1, 2, 0]}',
+    "nu": '{"m": [[0, 1, 2], [2, 0, 1], [1, 2, 0]], "a": [0, 0, 0], "nu": {row}}',
+}
+
+
+def bad_row(bad, at):
+    row = ["2", "0", "1"]
+    row[at] = bad
+    return "[" + ", ".join(row) + "]"
+
+
+def oracle_message(data, field):
+    reader = oracle_as_int_matrix if field == "m" else oracle_as_int_vector
+    with pytest.raises(InputFileError) as ei:
+        reader(data[field], f'"{field}"')
+    return str(ei.value)
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+@pytest.mark.parametrize("at", [0, 1, 2])
+class TestEntryMessages:
+    @pytest.mark.parametrize("field", sorted(ORDER_FIELDS))
+    def test_order_file(self, tmp_path, bad, at, field):
+        path = tmp_path / "bad.json"
+        path.write_text(ORDER_FIELDS[field].replace("{row}", bad_row(bad, at)))
+        with pytest.raises(InputFileError) as ei:
+            read_order_file(path)
+        assert str(ei.value) == oracle_message(json.loads(path.read_text()), field)
+
+    @pytest.mark.parametrize("field", sorted(MDATA_FIELDS))
+    def test_equivariant_file(self, tmp_path, bad, at, field):
+        path = tmp_path / "bad.json"
+        path.write_text(MDATA_FIELDS[field].replace("{row}", bad_row(bad, at)))
+        with pytest.raises(InputFileError) as ei:
+            read_equivariant_file(path)
+        assert str(ei.value) == oracle_message(json.loads(path.read_text()), field)
+
+
+def test_int_rows_read_as_the_oracle(tmp_path):
+    rng = random.Random(1719)
+    path = tmp_path / "m.json"
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        m = [list(random_vector(rng, n)) for _ in range(n)]
+        path.write_text(json.dumps({"kind": "matrix", "m": m}))
+        assert read_order_file(path).matrix == oracle_as_int_matrix(m, '"m"')
+        w = [abs(x) for x in random_vector(rng, n)]
+        path.write_text(json.dumps({"kind": "cyclic", "weights": w}))
+        assert read_order_file(path).weights == oracle_as_int_vector(w, '"weights"')
 
 
 class TestEquivariantFiles:
