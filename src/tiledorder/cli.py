@@ -112,12 +112,13 @@ def cmd_tilting(args) -> int:
     m, g = files.order_pair(files.read_order_file(args.order))
     summands = tilting_summands(m, g)
     print(f"rank: {grothendieck_rank(g)}")
-    line = "(%d,%d) -> " + files.label_format(m.n)  # one slot, non-zero vector
+    write = sys.stdout.write  # one write per line, as print would stream it
+    line = "(%d,%d) -> " + files.label_format(m.n) + "\n"  # one slot, non-zero vector
     for labels, vec in summands:
         if any(vec):
-            print(line % (labels[0] + vec))
+            write(line % (labels[0] + vec))
         else:  # the zero summand, with its n slots
-            print(" ".join(["(%d,%d)" % slot for slot in labels]), "-> 0")
+            write(" ".join(["(%d,%d)" % slot for slot in labels]) + " -> 0\n")
     return 0
 
 

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, InputFileError, TooLargeError
 from .orders import ExponentMatrix, Permutation, Record, Vector
-from .orders import _check_triangle, _square
+from .orders import _check_triangle, _packing, _square
 
 # Largest n an order or equivariant-data file may have.  The slowest input
 # of that size known, a descending chain (m(i+1,i) = -1, other entries n)
@@ -119,20 +119,22 @@ def read_order_file(path) -> OrderSource:
 def order_pair(source: OrderSource) -> tuple[ExponentMatrix, GorensteinData]:
     """(m, g) as ``cyclic_order``, or ``from_rows`` then ``detect_gorenstein``.
 
-    One pattern match serves both: the triangle scan reads one row per orbit
-    of the nu detected, or every row before a failed detection is re-raised.
+    One packing of the rows and one pattern match serve both: the triangle
+    scan reads one row per orbit of the nu detected, or every row before a
+    failed detection is re-raised.
     """
     from .gorenstein import cyclic_order, detect_gorenstein
 
     if source.kind == "cyclic":
         return cyclic_order(source.weights)
     m = ExponentMatrix(_square(source.matrix))
+    packing = _packing(m.rows)
     try:
-        g = detect_gorenstein(m)
+        g = detect_gorenstein(m, _shared=packing)
     except DomainError:
-        _check_triangle(m.rows)
+        _check_triangle(m.rows, packing=packing)
         raise
-    _check_triangle(m.rows, g.nu)
+    _check_triangle(m.rows, g.nu, packing)
     return m, g
 
 

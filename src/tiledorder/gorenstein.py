@@ -21,7 +21,7 @@ from .errors import (
     ZeroWeightsError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Vector
-from .orders import _nakayama_fits, check_shift, freeze_vector
+from .orders import Packing, _nakayama_fits, _packing, check_shift, freeze_vector
 
 
 class GorensteinData(Record):
@@ -37,7 +37,9 @@ class GorensteinData(Record):
         return self.nu.n
 
 
-def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
+def detect_gorenstein(
+    m: ExponentMatrix, *, _shared: Packing | None = None
+) -> GorensteinData:
     """Find the unique (nu, ell) certifying the Gorenstein condition.
 
     Raises NotGorensteinError(i) when no candidate row works for index i, and
@@ -52,6 +54,8 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     so every orbit has parameter average p_av.
 
     The fits come from ``orders._nakayama_fits``, the one pattern matcher.
+    It reads the rows' ``_packing``: ``_shared`` when a caller that scans the
+    triangle too has built it (``files.order_pair``), else built here.
 
     The images form a bijection, so Permutation never raises here; this
     needs no triangle inequality.  Once every column fits exactly one row,
@@ -62,8 +66,9 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
     indexed by the hit rows sit alone on their rows and use up every hit
     row, leaving none for a shared column.
     """
+    packing = _packing(m.rows) if _shared is None else _shared
     images = []
-    for i, candidates in enumerate(_nakayama_fits(m.rows)):
+    for i, candidates in enumerate(_nakayama_fits(m.rows, packing)):
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i

@@ -10,7 +10,6 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import operator
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
@@ -24,6 +23,7 @@ from .errors import (
 
 Vector = tuple[int, ...]
 Rows = tuple[Vector, ...]
+Packing = tuple[int, int, int, list[int]]  # see _packing
 
 
 class _RecordType(type):
@@ -82,45 +82,56 @@ def _packed(row: Vector, lo: int, size: int) -> int:
     return int.from_bytes(b"".join(fields), "little")
 
 
-def _packed_rows(rows: Rows, size: int, top: int) -> list[int]:
+def _packed_rows(rows: Sequence[Vector], size: int, top: int) -> list[int]:
     """``_packed(row, -half, size)`` for each row, half = 2**(8*size-1).
 
-    From 32 rows on, a field of up to 8 bytes is a signed array item, x mod
-    2**(8*size), and flipping its top bit (set in ``top``) gives x + half.
-    A big-endian host reverses the fields; the scan treats them alike.  Fewer
-    rows take ``_packed``: importing array (a shared library, about 0.6 ms)
-    costs more than packing them, and a CLI run scans one small matrix.
+    A field of 1, 2, 4 or 8 bytes is a signed little-endian struct item, x
+    mod 2**(8*size), and flipping its top bit (set in ``top``) gives x + half.
+    Wider fields take ``_packed``.
     """
-    if size > 8 or len(rows) < 32:
+    if size > 8:
         return [_packed(row, -(1 << (8 * size - 1)), size) for row in rows]
-    from array import array
+    from struct import Struct
 
-    code = next(c for c in "bhilq" if array(c).itemsize == size)
-    return [int.from_bytes(array(code, row), sys.byteorder) ^ top for row in rows]
+    pack = Struct("<%d%s" % (len(rows[0]), "bhiq"[size.bit_length() - 1])).pack
+    return [int.from_bytes(pack(*row), "little") ^ top for row in rows]
+
+
+def _packing(rows: Rows) -> Packing:
+    """(size, ones, top, packed): square rows packed into ints, one per row.
+
+    Field k (w = 8 * size bits, size 1, 2, 4, 8 or more bytes) of packed[j]
+    holds m(j,k) + half, half = 2**(w-1) > span = 2 * (hi - lo), where hi =
+    max(0, max m) and lo = min(0, min m).  ``ones`` has 1 in each of the n
+    fields and ``top`` = half * ones.  The triangle scan and the pattern
+    matcher share it; it takes about the memory of the input.
+    """
+    span = 2 * (max(0, *map(max, rows)) - min(0, *map(min, rows)))
+    size = span.bit_length() // 8 + 1
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()  # a struct item: 1, 2, 4 or 8 bytes
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * len(rows), "little")
+    top = ones << (8 * size - 1)
+    return size, ones, top, _packed_rows(rows, size, top)
 
 
 def first_triangle_violation(
-    rows: Rows, scanned: Iterable[int] | None = None
+    rows: Rows,
+    scanned: Iterable[int] | None = None,
+    packing: Packing | None = None,
 ) -> tuple[int, int, int] | None:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
     Only rows i in ``scanned`` (increasing; all when None) are scanned: with
     a Nakayama permutation its orbits' least points suffice (see _check_triangle).
-    Rows are packed into ints, field k (w = 8 * size bits) of P_j holding
-    m(j,k) + half, half = 2**(w-1).  Each defect d = m(i,j) + m(j,k) - m(i,k)
-    has |d| <= 2 * (max(0, max m) - min(0, min m)) < half, so every field of
-    P_j - P_i + (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half
-    with no borrow, its top bit set iff d >= 0.  Packed rows take about
-    input memory.
+    The rows are read packed, as ``_packing`` gives them (built here when
+    None): field k of P_j holds m(j,k) + half.  Each defect d = m(i,j) +
+    m(j,k) - m(i,k) has |d| <= span < half, so every field of P_j - P_i +
+    (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half with no
+    borrow, its top bit set iff d >= 0.
     """
+    _, ones, top, packed = _packing(rows) if packing is None else packing
     n = len(rows)
-    span = 2 * (max(0, *map(max, rows)) - min(0, *map(min, rows)))
-    size = span.bit_length() // 8 + 1
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()  # an array item: 1, 2, 4 or 8 bytes
-    ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
-    top = ones << (8 * size - 1)
-    packed = _packed_rows(rows, size, top)
     for i in range(n) if scanned is None else scanned:
         row = rows[i]
         base = top - packed[i]
@@ -149,19 +160,26 @@ def _square(rows: Iterable[Sequence[int]]) -> Rows:
     return frozen
 
 
-def _nakayama_fits(rows: Rows) -> Iterator[list[int]]:
+def _nakayama_fits(rows: Rows, packing: Packing) -> Iterator[list[int]]:
     """For each column i in turn, the rows u with m(u,x) + m(x,i) constant in x.
 
     Those whose pattern (m(u,x) - m(u,0))_x is i's (m(0,i) - m(x,i))_x, the
     constant being m(u,0) + m(0,i): one hash per row and one lookup per column.
+    A pattern is keyed by one int in ``_packing``'s layout: row u by P_u -
+    m(u,0) * ONES, column i by (m(0,i) + 2 * half) * ONES - Q_i, Q_i the
+    column packed as a row.  Field x of the two keys is m(u,x) - m(u,0) +
+    half and m(0,i) - m(x,i) + half; each difference lies within hi - lo <
+    half of 0, so each field lies in (0, 2**w), no field borrows, and equal
+    keys are equal patterns.  No triangle inequality is needed.
     """
-    fitting: dict[Vector, list[int]] = {}
-    for u, row in enumerate(rows):
-        r0 = row[0]
-        fitting.setdefault(tuple([x - r0 for x in row]), []).append(u)
-    for col in zip(*rows):
-        c0 = col[0]
-        yield fitting.get(tuple([c0 - x for x in col]), [])
+    size, ones, top, packed = packing
+    fitting: dict[int, list[int]] = {}
+    for u, key in enumerate([p - row[0] * ones for row, p in zip(rows, packed)]):
+        fitting.setdefault(key, []).append(u)
+    cols = list(zip(*rows))
+    base = top << 1  # 2 * half * ONES
+    for col, q in zip(cols, _packed_rows(cols, size, top)):
+        yield fitting.get(base + col[0] * ones - q, [])
 
 
 def _is_basic(rows: Rows) -> bool:
@@ -180,7 +198,11 @@ def first_negative(rows: Rows) -> tuple[int, int] | None:
     return None
 
 
-def _check_triangle(rows: Rows, nu: Permutation | None = None) -> None:
+def _check_triangle(
+    rows: Rows,
+    nu: Permutation | None = None,
+    packing: Packing | None = None,
+) -> None:
     """TriangleViolationError at the first violation; one row per orbit of nu.
 
     nu (all rows when None) must satisfy m(nu i, x) + m(x, i) = ell_i for all
@@ -189,10 +211,11 @@ def _check_triangle(rows: Rows, nu: Permutation | None = None) -> None:
     the triangle defect.  A violation in row i recurs in the row of its
     orbit's least point, and ``orbits`` lists those in increasing order: the
     first violating one holds the first violation overall.  The triangle
-    inequality is not used.
+    inequality is not used.  ``packing`` is the rows' ``_packing``, built
+    when None.
     """
     bases = None if nu is None else [orbit[0] for orbit in nu.orbits()]
-    violation = first_triangle_violation(rows, bases)
+    violation = first_triangle_violation(rows, bases, packing)
     if violation is not None:
         i, j, k = violation
         raise TriangleViolationError(
@@ -244,13 +267,17 @@ class ExponentMatrix(Record):
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
         """Validate rows: NonSquare, then NonzeroDiagonal, then TriangleViolation.
 
-        When each column fits exactly one row (``detect_gorenstein`` shows
-        these rows distinct), ``_check_triangle`` reads one per orbit of that nu.
+        The rows are packed once, for the pattern matcher and the triangle
+        scan.  When each column fits exactly one row (``detect_gorenstein``
+        shows these rows distinct), ``_check_triangle`` reads one per orbit
+        of that nu.
         """
         frozen = _square(rows)
-        images = [u for fit in _nakayama_fits(frozen) if len(fit) == 1 for u in fit]
+        packing = _packing(frozen)
+        fits = _nakayama_fits(frozen, packing)
+        images = [u for fit in fits if len(fit) == 1 for u in fit]
         nu = Permutation(images) if len(images) == len(frozen) else None
-        _check_triangle(frozen, nu)
+        _check_triangle(frozen, nu, packing)
         return cls(frozen)
 
     @property

@@ -3,11 +3,11 @@
 These are the direct definitions the package used before its fast versions:
 the triple-loop triangle scan (also behind the structural checks, in
 `from_rows`), Gorenstein detection that tries every row against every
-column, the orbit fold that sums g permuted copies of the matrix, and the
+column, the row/column pattern matcher keyed by tuples, the orbit fold that sums g permuted copies of the matrix, and the
 staged normalize pipeline that tested the whole matrix for a negative cycle
 and built the aligned data and its full fold.
 `tiledorder.orders.first_triangle_violation`, `ExponentMatrix.from_rows`,
-`tiledorder.detect_gorenstein`, the closed-form fold kernel of
+`tiledorder.detect_gorenstein`, `tiledorder.orders._nakayama_fits`, the closed-form fold kernel of
 `tiledorder.conjugation` (see `helpers.kernel_fold`) and
 `tiledorder.normalize_equivariant` must agree with them exactly: same
 witnesses, same exceptions and messages (but for `from_rows`' messages),
@@ -17,6 +17,7 @@ shares no fold code with the package path it checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import Optional
 
@@ -73,6 +74,21 @@ def from_rows(rows) -> Rows:
     if violation is not None:
         raise TriangleViolationError("triangle inequality fails", witness=violation)
     return rows
+
+
+def nakayama_fits(rows: Rows) -> Iterator[list[int]]:
+    """For each column i in turn, the rows u with m(u,x) + m(x,i) constant in x.
+
+    Those whose pattern (m(u,x) - m(u,0))_x is i's (m(0,i) - m(x,i))_x, the
+    constant being m(u,0) + m(0,i): one hash per row and one lookup per column.
+    """
+    fitting: dict[Vector, list[int]] = {}
+    for u, row in enumerate(rows):
+        r0 = row[0]
+        fitting.setdefault(tuple([x - r0 for x in row]), []).append(u)
+    for col in zip(*rows):
+        c0 = col[0]
+        yield fitting.get(tuple([c0 - x for x in col]), [])
 
 
 def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:

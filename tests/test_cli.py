@@ -484,23 +484,32 @@ PAIR_FILES = {
 
 @pytest.mark.parametrize("command", ["gorenstein", "normalize", "tilting", "quiver"])
 def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, command):
-    """A matrix file is pattern-matched once, accepted or not; a cyclic file never."""
-    real, calls = orders._nakayama_fits, []
+    """A matrix file is packed and pattern-matched once, accepted or not; a
+    cyclic file never."""
+    real, real_packing, calls, packings = orders._nakayama_fits, orders._packing, [], []
 
-    def spy(rows):
+    def spy(rows, packing):
         calls.append(len(rows))
-        return real(rows)
+        return real(rows, packing)
+
+    def packing_spy(rows):
+        packings.append(len(rows))
+        return real_packing(rows)
 
     monkeypatch.setattr(orders, "_nakayama_fits", spy)
     monkeypatch.setattr(gorenstein, "_nakayama_fits", spy)  # bound by import there
+    for module in (orders, gorenstein, files):  # bound by import in the latter two
+        monkeypatch.setattr(module, "_packing", packing_spy)
     outcomes = {}
     for name, text in PAIR_FILES.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         calls.clear()
+        packings.clear()
         code, _, err = run(capsys, command, str(path))
         outcomes[name] = only_stderr_json(err)["code"] if code else "ok"
         assert len(calls) == (name != "cyclic"), name
+        assert len(packings) == (name != "cyclic"), name
     assert outcomes["gorenstein"] == "ok"
     assert outcomes["triangle-not-gorenstein"] == "TriangleViolation"
     assert outcomes["triangle-ambiguous"] == "TriangleViolation"
@@ -538,7 +547,7 @@ class TestFileLimit:
 
 # Canonical argv, each with what its run must not import.  Files are written
 # by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
-# array is loaded only by a triangle scan of 32 rows or more.
+# array is not used; struct is loaded only to pack a matrix's rows.
 NEVER = {"argparse", "dataclasses", "typing", "inspect", "pathlib", "array"}
 CANONICAL = {
     "validate-matrix": (
@@ -612,14 +621,21 @@ def test_command_import_path(tmp_path, argv, absent):
     assert loaded.isdisjoint(NEVER | absent), loaded & (NEVER | absent)
 
 
-@pytest.mark.parametrize("n", [31, 32])
-def test_array_loads_for_large_scans_only(tmp_path, n):
-    """Packing rows through array pays its import only from 32 rows on."""
-    m, _ = gorenstein.cyclic_order((1,) * n)
-    (tmp_path / "big.json").write_text(json.dumps({"kind": "matrix", "m": m.rows}))
-    status, loaded = loaded_modules(tmp_path, ["validate", "big.json"])
+@pytest.mark.parametrize(
+    "argv, packs",
+    [
+        (["validate", "m.json"], True),
+        (["gorenstein", "m.json"], True),
+        (["tilting", "w.json"], False),
+        (["cyclic", "--weights", "1,1,1,1"], False),
+    ],
+    ids=["validate-matrix", "gorenstein-matrix", "tilting-cyclic", "cyclic"],
+)
+def test_struct_loads_to_pack_a_matrix_only(tmp_path, argv, packs):
+    """Packing a matrix's rows pays struct's import; a run that packs none does not."""
+    status, loaded = loaded_modules(tmp_path, argv)
     assert status == 0
-    assert ("array" in loaded) == (n >= 32)
+    assert ("struct" in loaded) == packs
 
 
 @pytest.mark.parametrize(

@@ -189,9 +189,9 @@ class TestTriangleScanEdges:
         ],
     )
     def test_array_field_sizes(self, lo, hi):
-        # 32 rows and more are packed through array: a 1-byte field at the
-        # edge of its bound, fields of 3 and 5 bytes rounded up to items of 4
-        # and 8, the widest item, and int.to_bytes beyond it
+        # a 1-byte field at the edge of its bound, fields of 3 and 5 bytes
+        # rounded up to struct items of 4 and 8, the widest item, and
+        # int.to_bytes beyond it
         rng = random.Random(441)
         for n in (32, 33):
             def fill(pick):
@@ -249,7 +249,7 @@ class TestTriangleScanEdges:
 
 def fit_kind(rows):
     """How the columns of square rows fit rows: "none", "ambiguous" or "nu"."""
-    fits = list(orders._nakayama_fits(rows))
+    fits = list(orders._nakayama_fits(rows, orders._packing(rows)))
     if any(not fit for fit in fits):
         return "none"
     if any(len(fit) > 1 for fit in fits):
@@ -327,10 +327,10 @@ def scans(monkeypatch):
     calls = []
     real = orders.first_triangle_violation
 
-    def spy(rows, scanned=None):
+    def spy(rows, scanned=None, packing=None):
         scanned = None if scanned is None else list(scanned)
         calls.append(list(range(len(rows))) if scanned is None else scanned)
-        return real(rows, scanned)
+        return real(rows, scanned, packing)
 
     monkeypatch.setattr(orders, "first_triangle_violation", spy)
     return calls
@@ -349,6 +349,94 @@ def random_product(rng, scale=1):
     m = product_order(w1, w2, rng.sample(range(n), n))
     rows = tuple(tuple(x * scale for x in row) for row in m.rows)
     return morita_shift(ExponentMatrix(rows), [rng.randint(-5, 5) * scale for _ in range(n)])
+
+
+def extreme_rows(rng, n, lo, hi):
+    """Zero-diagonal n x n rows over lo, hi and values next to them and to 0,
+    with lo and hi both planted off the diagonal: for lo <= 0 <= hi the
+    packing's span is exactly 2 * (hi - lo)."""
+    values = (lo, hi, lo + 1, hi - 1, 0)
+    rows = [[0 if i == j else rng.choice(values) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    (a, b), (c, d) = rng.sample(cells, 2)
+    rows[a][b], rows[c][d] = lo, hi
+    return tuple(map(tuple, rows))
+
+
+def scaled_order(rng, lo, hi):
+    """A shuffled cyclic or product order scaled as far as [lo, hi] allows."""
+    if rng.random() < 0.5:
+        m = relabeled_shifted_cyclic(rng, rng.randint(2, 7))
+    else:
+        m = random_product(rng)
+    a, b = min(map(min, m.rows)), max(map(max, m.rows))
+    c = min(hi // b if b > 0 else hi, lo // a if a < 0 else hi)
+    return tuple(tuple(x * c for x in row) for row in m.rows)
+
+
+class TestPackedMatcher:
+    """`_nakayama_fits` on packed keys against the tuple-keyed matcher it replaced.
+
+    Each case compares the fit lists column by column with
+    `matrix_oracles.nakayama_fits`, and checks the field size the packing
+    chose: just below and at each boundary of 1, 2, 4 and 8 bytes, and
+    wider.  Off-diagonal entries of -(D // 3) and D - D // 3 give fields as
+    far from half as the layout allows.
+    """
+
+    @pytest.mark.parametrize(
+        "spread, size",
+        [
+            (63, 1), (64, 2), (2**14 - 1, 2), (2**14, 4), (2**30 - 1, 4),
+            (2**30, 8), (2**62 - 1, 8), (2**62, 9), (HUGE, 167),
+        ],
+        ids=["63", "64", "2^14-1", "2^14", "2^30-1", "2^30", "2^62-1", "2^62", "huge"],
+    )
+    def test_fits_match_the_tuple_keys(self, spread, size):
+        lo = -(spread // 3)
+        hi = spread + lo
+        rng = random.Random(spread % 1009)
+        kinds, broken = {}, 0
+        for t in range(160):
+            if t % 2:
+                rows = extreme_rows(rng, rng.randint(2, 6), lo, hi)
+                assert orders._packing(rows)[0] == size
+            else:
+                rows = scaled_order(rng, lo, hi)
+            n = len(rows)
+            variants = [rows]
+            if n > 1:
+                # one-entry nudges, one making m(i,j) + m(j,i) = 0, and a
+                # change that keeps nu fitting but may break the triangle
+                i, j = rng.sample(range(n), 2)
+                for delta in (1, -1, -rows[i][j] - rows[j][i]):
+                    nudged = [list(row) for row in rows]
+                    nudged[i][j] += delta
+                    variants.append(tuple(map(tuple, nudged)))
+                if t % 2 == 0:
+                    images = [fit[0] for fit in matrix_oracles.nakayama_fits(rows)]
+                    variants.append(relation_preserving(rng, rows, images, rng.randint(1, 3)))
+            for rows in filter(None, variants):
+                got = list(orders._nakayama_fits(rows, orders._packing(rows)))
+                assert got == list(matrix_oracles.nakayama_fits(rows))
+                kind = fit_kind(rows)
+                kinds[kind] = kinds.get(kind, 0) + 1
+                broken += kind == "nu" and first_triangle_violation(rows) is not None
+        assert kinds["none"] > 300 and kinds["nu"] > 100 and kinds["ambiguous"] > 20
+        assert broken > 10
+
+    @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])
+    def test_single_entry_and_negative_entries(self, scale):
+        assert list(orders._nakayama_fits(((0,),), orders._packing(((0,),)))) == [[0]]
+        rng = random.Random(445)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = tuple(
+                tuple(0 if i == j else rng.randint(-4, 1) * scale for j in range(n))
+                for i in range(n)
+            )
+            got = list(orders._nakayama_fits(rows, orders._packing(rows)))
+            assert got == list(matrix_oracles.nakayama_fits(rows))
 
 
 class TestBaseRowScan:
