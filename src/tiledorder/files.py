@@ -22,9 +22,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from .errors import DomainError, InputFileError, TooLargeError
-from .orders import ExponentMatrix, Permutation, Record, Vector
-from .orders import _check_triangle, _packing, _square
+from .errors import InputFileError, TooLargeError
+from .orders import ExponentMatrix, Permutation, Record, _validated
 
 # Largest n an order or equivariant-data file may have.  The slowest input
 # of that size known, a descending chain (m(i+1,i) = -1, other entries n)
@@ -119,23 +118,17 @@ def read_order_file(path) -> OrderSource:
 def order_pair(source: OrderSource) -> tuple[ExponentMatrix, GorensteinData]:
     """(m, g) as ``cyclic_order``, or ``from_rows`` then ``detect_gorenstein``.
 
-    One packing of the rows and one pattern match serve both: the triangle
-    scan reads one row per orbit of the nu detected, or every row before a
-    failed detection is re-raised.
+    A matrix is validated by ``orders._validated``, and detection reads the
+    fits it matched: one packing and one pattern match per file.  A triangle
+    violation is raised before detection can fail, as ``from_rows`` would.
     """
     from .gorenstein import cyclic_order, detect_gorenstein
 
     if source.kind == "cyclic":
         return cyclic_order(source.weights)
-    m = ExponentMatrix(_square(source.matrix))
-    packing = _packing(m.rows)
-    try:
-        g = detect_gorenstein(m, _shared=packing)
-    except DomainError:
-        _check_triangle(m.rows, packing=packing)
-        raise
-    _check_triangle(m.rows, g.nu, packing)
-    return m, g
+    rows, fits = _validated(source.matrix)
+    m = ExponentMatrix(rows)
+    return m, detect_gorenstein(m, _fits=fits)
 
 
 def _matrix_lines(rows: Sequence[Sequence[int]]) -> list[str]:
@@ -210,37 +203,23 @@ def label_format(n: int) -> str:
     return "(" + ",".join(["%d"] * n) + ")"
 
 
-def vector_label(vec: Vector) -> str:
-    """Node label for an exponent vector: "(2,0,1)", and plain "0" for zero.
-
-    The entries fill one "%d" each of the template for the vector's length.
-    """
-    if not any(vec):
-        return "0"
-    return label_format(len(vec)) % vec
-
-
 def quiver_dot(q: Quiver) -> str:
     """Deterministic DOT text: vertices then arrows, in their sorted order.
 
-    Vertices of one length n are labelled through one template built per
-    call, and the label equal to the zero vector's becomes "0"; vertices of
-    mixed lengths go through vector_label one by one.  An arrow end is the
-    vertex object it equals (see Quiver), so its label is found by identity
-    without hashing the vector.  Cost: one format per vertex and one line per
-    arrow.
+    The vertices are vectors of one length n, as ``hasse_quiver`` gives
+    them: each is labelled "(2,0,1)" through one template built per call,
+    and the label equal to the zero vector's becomes "0".  An arrow end is
+    the vertex object it equals (see Quiver), so its label is found by
+    identity without hashing the vector.  Cost: one format per vertex and one
+    line per arrow.
     """
     vertices = q.vertices
-    lengths = set(map(len, vertices))
-    if len(lengths) == 1:
-        (n,) = lengths
-        fmt = label_format(n)
-        labels = list(map(fmt.__mod__, vertices))
-        zero = fmt % ((0,) * n)
-        for _ in range(labels.count(zero)):  # once, unless a vertex repeats
-            labels[labels.index(zero)] = "0"
-    else:
-        labels = list(map(vector_label, vertices))
+    n = len(vertices[0]) if vertices else 0
+    fmt = label_format(n)
+    labels = list(map(fmt.__mod__, vertices))
+    zero = fmt % ((0,) * n)
+    for _ in range(labels.count(zero)):  # once, unless a vertex repeats
+        labels[labels.index(zero)] = "0"
     label = dict(zip(map(id, vertices), labels))
     lines = ["digraph hasse {"]
     lines += [f'  "{s}";' for s in labels]

@@ -12,7 +12,6 @@ rational and is invariant under conjugation by shift vectors.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
@@ -21,24 +20,34 @@ from .errors import (
     ZeroWeightsError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Vector
-from .orders import Packing, _nakayama_fits, _packing, check_shift, freeze_vector
+from .orders import _nakayama_fits, _packing, check_shift, freeze_vector
 
 
 class GorensteinData(Record):
-    """Permutation nu, the constants ell, the parameters p = 1 - ell, and their mean."""
+    """Permutation nu and the parameters p; the constants ell and p_av follow."""
 
     nu: Permutation
-    ell: Vector
     p: Vector
-    p_av: Fraction
 
     @property
     def n(self) -> int:
         return self.nu.n
 
+    @property
+    def ell(self) -> Vector:
+        """The constants ell_i = 1 - p_i of the Gorenstein relation."""
+        return tuple([1 - x for x in self.p])
+
+    @property
+    def p_av(self) -> Fraction:
+        """The mean of p, exact; ``fractions`` is imported only when it is read."""
+        from fractions import Fraction
+
+        return Fraction(sum(self.p), self.n)
+
 
 def detect_gorenstein(
-    m: ExponentMatrix, *, _shared: Packing | None = None
+    m: ExponentMatrix, *, _fits: list[list[int]] | None = None
 ) -> GorensteinData:
     """Find the unique (nu, ell) certifying the Gorenstein condition.
 
@@ -53,9 +62,9 @@ def detect_gorenstein(
     nu, gives (L / |x|) * sum_x(p) = (L / |y|) * sum_y(p) for any orbits x, y,
     so every orbit has parameter average p_av.
 
-    The fits come from ``orders._nakayama_fits``, the one pattern matcher.
-    It reads the rows' ``_packing``: ``_shared`` when a caller that scans the
-    triangle too has built it (``files.order_pair``), else built here.
+    The fits come from ``orders._nakayama_fits``, the one pattern matcher:
+    ``_fits`` when the rows were matched while validated (``orders._validated``
+    in ``files.order_pair``), else matched here on the rows' ``_packing``.
 
     The images form a bijection, so Permutation never raises here; this
     needs no triangle inequality.  Once every column fits exactly one row,
@@ -66,9 +75,10 @@ def detect_gorenstein(
     indexed by the hit rows sit alone on their rows and use up every hit
     row, leaving none for a shared column.
     """
-    packing = _packing(m.rows) if _shared is None else _shared
+    rows = m.rows
+    fits = _nakayama_fits(rows, _packing(rows)) if _fits is None else _fits
     images = []
-    for i, candidates in enumerate(_nakayama_fits(m.rows, packing)):
+    for i, candidates in enumerate(fits):
         if not candidates:
             raise NotGorensteinError(
                 f"no row is constant against column {i}", witness=i
@@ -79,10 +89,8 @@ def detect_gorenstein(
                 witness=(i, list(candidates)),
             )
         images.append(candidates[0])
-    nu = Permutation(tuple(images))
-    ell = tuple(m.rows[u][0] + m.rows[0][i] for i, u in enumerate(images))
-    p = tuple(1 - e for e in ell)
-    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), m.n))
+    p = tuple([1 - rows[u][0] - rows[0][i] for i, u in enumerate(images)])
+    return GorensteinData(nu=Permutation(images), p=p)
 
 
 def shifted_parameters(g: GorensteinData, s: Sequence[int]) -> Vector:
@@ -121,8 +129,5 @@ def cyclic_order(weights: Sequence[int]) -> tuple[ExponentMatrix, GorensteinData
             for i in range(n)
         )
     )
-    nu = Permutation.cycle(n)
-    ell = tuple(total - w[i] for i in range(n))
-    p = tuple(1 + w[i] - total for i in range(n))
-    g = GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
-    return m, g
+    p = tuple([1 + x - total for x in w])
+    return m, GorensteinData(nu=Permutation.cycle(n), p=p)

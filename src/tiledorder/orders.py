@@ -123,7 +123,7 @@ def first_triangle_violation(
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
     Only rows i in ``scanned`` (increasing; all when None) are scanned: with
-    a Nakayama permutation its orbits' least points suffice (see _check_triangle).
+    a Nakayama permutation its orbits' least points suffice (see _validated).
     The rows are read packed, as ``_packing`` gives them (built here when
     None): field k of P_j holds m(j,k) + half.  Each defect d = m(i,j) +
     m(j,k) - m(i,k) has |d| <= span < half, so every field of P_j - P_i +
@@ -198,29 +198,36 @@ def first_negative(rows: Rows) -> tuple[int, int] | None:
     return None
 
 
-def _check_triangle(
-    rows: Rows,
-    nu: Permutation | None = None,
-    packing: Packing | None = None,
-) -> None:
-    """TriangleViolationError at the first violation; one row per orbit of nu.
+def _validated(rows: Iterable[Sequence[int]]) -> tuple[Rows, list[list[int]]]:
+    """(frozen rows, fits): NonSquare, then NonzeroDiagonal, then TriangleViolation.
 
-    nu (all rows when None) must satisfy m(nu i, x) + m(x, i) = ell_i for all
-    i, x.  At x = nu j, and for j at x = i, that gives m(nu i, nu j) = m(i,j)
-    + ell_i - ell_j, so the ells cancel in d(nu i, nu j, nu k) = d(i,j,k),
-    the triangle defect.  A violation in row i recurs in the row of its
-    orbit's least point, and ``orbits`` lists those in increasing order: the
-    first violating one holds the first violation overall.  The triangle
-    inequality is not used.  ``packing`` is the rows' ``_packing``, built
-    when None.
+    The rows are packed once, for the pattern matcher (``_nakayama_fits``,
+    whose fits are returned for ``detect_gorenstein``) and the triangle scan.
+    When each column fits exactly one row, those rows are the images of a
+    permutation nu (``detect_gorenstein`` shows them distinct) and the scan
+    reads one row per orbit of nu; otherwise it reads every row.
+
+    nu satisfies m(nu i, x) + m(x, i) = ell_i for all i, x.  At x = nu j, and
+    for j at x = i, that gives m(nu i, nu j) = m(i,j) + ell_i - ell_j, so the
+    ells cancel in d(nu i, nu j, nu k) = d(i,j,k), the triangle defect.  A
+    violation in row i recurs in the row of its orbit's least point, and
+    ``orbits`` lists those in increasing order: the first violating one holds
+    the first violation overall.  The triangle inequality is not used.
     """
-    bases = None if nu is None else [orbit[0] for orbit in nu.orbits()]
-    violation = first_triangle_violation(rows, bases, packing)
+    frozen = _square(rows)
+    packing = _packing(frozen)
+    fits = list(_nakayama_fits(frozen, packing))
+    images = [u for fit in fits if len(fit) == 1 for u in fit]
+    bases = None
+    if len(images) == len(frozen):
+        bases = [orbit[0] for orbit in Permutation(images).orbits()]
+    violation = first_triangle_violation(frozen, bases, packing)
     if violation is not None:
         i, j, k = violation
         raise TriangleViolationError(
             f"m({i},{j}) + m({j},{k}) < m({i},{k})", witness=violation
         )
+    return frozen, fits
 
 
 class OrderReport(Record):
@@ -258,7 +265,7 @@ class ExponentMatrix(Record):
 
     ``from_rows`` is the validating constructor.  The plain one checks nothing
     and is used only where the result is proven (``morita_shift``,
-    ``cyclic_order``) or checked (``files.order_pair``) valid.
+    ``cyclic_order``) or validated (``_validated``, in ``files.order_pair``).
     """
 
     rows: Rows
@@ -267,18 +274,10 @@ class ExponentMatrix(Record):
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "ExponentMatrix":
         """Validate rows: NonSquare, then NonzeroDiagonal, then TriangleViolation.
 
-        The rows are packed once, for the pattern matcher and the triangle
-        scan.  When each column fits exactly one row (``detect_gorenstein``
-        shows these rows distinct), ``_check_triangle`` reads one per orbit
-        of that nu.
+        The checks are ``_validated``'s, whose triangle scan reads one row per
+        Nakayama orbit when the rows have a Nakayama permutation.
         """
-        frozen = _square(rows)
-        packing = _packing(frozen)
-        fits = _nakayama_fits(frozen, packing)
-        images = [u for fit in fits if len(fit) == 1 for u in fit]
-        nu = Permutation(images) if len(images) == len(frozen) else None
-        _check_triangle(frozen, nu, packing)
-        return cls(frozen)
+        return cls(_validated(rows)[0])
 
     @property
     def n(self) -> int:

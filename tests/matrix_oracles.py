@@ -18,7 +18,6 @@ shares no fold code with the package path it checks.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from typing import Optional
 
 from tiledorder.conjugation import (
@@ -127,9 +126,8 @@ def detect_gorenstein(m: ExponentMatrix) -> GorensteinData:
         images.append(u)
         ells.append(ell)
     nu = Permutation(tuple(images))  # raises NotBijectiveError if degenerate
-    ell = tuple(ells)
-    p = tuple(1 - e for e in ell)
-    return GorensteinData(nu=nu, ell=ell, p=p, p_av=Fraction(sum(p), n))
+    p = tuple(1 - e for e in ells)
+    return GorensteinData(nu=nu, p=p)
 
 
 def fold_orbits(ed: EquivariantData) -> Fold:

@@ -498,7 +498,7 @@ def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, comman
 
     monkeypatch.setattr(orders, "_nakayama_fits", spy)
     monkeypatch.setattr(gorenstein, "_nakayama_fits", spy)  # bound by import there
-    for module in (orders, gorenstein, files):  # bound by import in the latter two
+    for module in (orders, gorenstein):  # bound by import in gorenstein
         monkeypatch.setattr(module, "_packing", packing_spy)
     outcomes = {}
     for name, text in PAIR_FILES.items():
@@ -515,6 +515,22 @@ def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, comman
     assert outcomes["triangle-ambiguous"] == "TriangleViolation"
     assert outcomes["not-gorenstein"] == "NotGorenstein"
     assert outcomes["ambiguous"] == "AmbiguousNakayama"
+
+
+# `python3 tests/cli_corpus.py 16`: one sha256 over the bytes of every
+# command on the seeded corpus.  A change to CLI output updates it on purpose.
+CORPUS_DIGEST_16 = "f0fd7044183c844eb414b08e1b023a4004636c5834ec335af3d4a9049c2c4160"
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the corpus holds argparse's help texts, which differ between versions",
+)
+def test_cli_corpus_digest():
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_corpus.py")
+    res = subprocess.run([sys.executable, script, "16"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [CORPUS_DIGEST_16], res.stderr
 
 
 class TestFileLimit:
@@ -554,20 +570,28 @@ CANONICAL = {
         ["validate", "m.json"],
         {"tiledorder.gorenstein", "tiledorder.conjugation", "tiledorder.tilting", "fractions"},
     ),
-    "validate-cyclic": (["validate", "w.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
+    "validate-cyclic": (
+        ["validate", "w.json"], {"tiledorder.conjugation", "tiledorder.tilting", "fractions"}
+    ),
     "gorenstein": (["gorenstein", "m.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
     "normalize": (["normalize", "w.json", "--emit", "out.json"], {"tiledorder.tilting"}),
-    "tilting": (["tilting", "w.json"], {"tiledorder.conjugation"}),
-    "quiver": (["quiver", "--oracle", "w.json", "--dot", "out.dot"], {"tiledorder.conjugation"}),
+    "tilting": (["tilting", "w.json"], {"tiledorder.conjugation", "fractions"}),
+    "quiver": (
+        ["quiver", "--oracle", "w.json", "--dot", "out.dot"],
+        {"tiledorder.conjugation", "fractions"},
+    ),
     "mdata-check": (["mdata-check", "md.json"], {"tiledorder.tilting", "tiledorder.gorenstein"}),
     "mdata-normalize": (
         ["mdata-normalize", "md.json", "--emit", "out.json"],
         {"tiledorder.tilting", "tiledorder.gorenstein"},
     ),
     "cyclic": (
-        ["cyclic", "--weights", "1,1,1,1"], {"tiledorder.conjugation", "tiledorder.tilting"}
+        ["cyclic", "--weights", "1,1,1,1"],
+        {"tiledorder.conjugation", "tiledorder.tilting", "fractions"},
     ),
-    "cyclic-emit": (["cyclic", "--emit", "out.json", "--weights", "2,0"], {"tiledorder.tilting"}),
+    "cyclic-emit": (
+        ["cyclic", "--emit", "out.json", "--weights", "2,0"], {"tiledorder.tilting", "fractions"}
+    ),
 }
 
 

@@ -20,7 +20,6 @@ from tiledorder.files import (
     rational_str,
     read_equivariant_file,
     read_order_file,
-    vector_label,
     write_equivariant_file,
     write_order_file,
 )
@@ -72,16 +71,12 @@ def twin(v):
 
 
 # Quivers by hand, arrow ends equal to vertices but other objects: empty, one
-# non-zero vertex, length one, mixed lengths, negative and large entries.
+# non-zero vertex, length one, negative and large entries, a repeat.
 HAND_QUIVERS = [
     Quiver((), ()),
     Quiver(((1, 2),), ()),
     Quiver(((0, 0),), ()),
     Quiver(((0,), (1,), (2,)), ((twin((1,)), twin((0,))), (twin((2,)), twin((1,))))),
-    Quiver(
-        ((), (0,), (0, 0), (1,), (1, 2), (3, 0, 1)),
-        ((twin((1, 2)), twin((0, 0))), (twin((3, 0, 1)), twin(())), ((1,), (0,))),
-    ),
     Quiver(
         ((-3, 0), (-1, 2), (0, 0), (2, -5), (10**20, -1)),
         (
@@ -120,13 +115,6 @@ DOT_1111 = """digraph hasse {
 
 
 class TestLabels:
-    def test_vector_label(self):
-        assert vector_label((0, 0, 0)) == "0"
-        assert vector_label((2, 0, 0, 1)) == "(2,0,0,1)"
-        assert vector_label((5,)) == "(5)"
-        assert vector_label((-1, 0)) == "(-1,0)"
-        assert vector_label(()) == "0"
-
     def test_rational_str(self):
         assert rational_str(Fraction(-2)) == "-2"
         assert rational_str(Fraction(1, 2)) == "1/2"
@@ -173,21 +161,10 @@ def random_quiver(rng, lengths):
     return Quiver(tuple(vertices), tuple((twin(a), twin(b)) for a, b in sorted(pairs)))
 
 
-def test_vector_label_matches_oracle_seeded():
-    rng = random.Random(1717)
-    vectors = [(0,) * n for n in range(9)]
-    vectors += [random_vector(rng, rng.randint(0, 8)) for _ in range(3000)]
-    for vec in vectors:
-        assert vector_label(vec) == oracle_vector_label(vec), vec
-
-
 def test_dot_matches_oracle_on_seeded_quivers():
     rng = random.Random(1718)
-    for _ in range(200):  # one length each: the template path
+    for _ in range(200):  # one length each, as hasse_quiver gives
         q = random_quiver(rng, [rng.randint(0, 8)])
-        assert quiver_dot(q) == oracle_quiver_dot(q), q
-    for _ in range(200):  # mixed lengths: label by label
-        q = random_quiver(rng, rng.sample(range(9), rng.randint(2, 4)))
         assert quiver_dot(q) == oracle_quiver_dot(q), q
 
 

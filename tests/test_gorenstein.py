@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from tiledorder import (
     AmbiguousNakayamaError,
     ExponentMatrix,
+    GorensteinData,
     NotGorensteinError,
     Permutation,
     cyclic_order,
@@ -67,6 +68,15 @@ class TestDetect:
         _, g = cyclic_order((1, 0))
         assert g.p == (1, 0)
         assert g.p_av == Fraction(1, 2)
+
+    def test_record_holds_nu_and_p(self):
+        # ell and p_av are read off p; equality, hash and repr see (nu, p) only
+        _, g = cyclic_order((3, 0, 1))
+        assert GorensteinData.__slots__ == ("nu", "p")
+        assert g == GorensteinData(Permutation.cycle(3), (0, -3, -2))
+        assert g.ell == (1, 4, 3)
+        assert g.p_av == Fraction(-5, 3)
+        assert repr(g) == "GorensteinData(nu=Permutation(images=(1, 2, 0)), p=(0, -3, -2))"
 
     @given(st.integers(0, 5), st.integers(0, 5))
     def test_basic_two_by_two_always_gorenstein(self, a, b):

@@ -446,7 +446,9 @@ class TestBaseRowScan:
     `matrix_oracles.from_rows`, which checks the structure and scans every
     row with the triple loop, and records which rows the package scanned.
     `files.order_pair` must give what `from_rows` then `detect_gorenstein`
-    give (pair, or error class and witness), scanning the same rows.
+    give (pair, or error class and witness), scanning the same rows.  When
+    `orders._validated` accepts the rows, its fits must be the matcher's, and
+    detection handed them must give what detection alone gives.
     """
 
     def check(self, rows, scans):
@@ -458,6 +460,14 @@ class TestBaseRowScan:
         got = from_rows_outcome(rows, file_pair)
         assert scans == ([] if scanned is None else [scanned])
         assert got == from_rows_outcome(rows, built_pair)
+        try:
+            frozen, fits = orders._validated(rows)
+        except DomainError:
+            return scanned  # the raise is from_rows', compared above
+        assert fits == list(orders._nakayama_fits(rows, orders._packing(rows)))
+        m = ExponentMatrix(frozen)
+        handed = from_rows_outcome(m, lambda m: detect_gorenstein(m, _fits=fits))
+        assert handed == from_rows_outcome(m, detect_gorenstein)
         return scanned
 
     @pytest.mark.parametrize("scale", [1, HUGE], ids=["small", "huge"])

@@ -146,6 +146,16 @@ class TestExponentMatrix:
             ExponentMatrix.from_rows(rows)
         assert ei.value.witness == witness
 
+    def test_validated_rows_and_fits(self):
+        # the fits come back whether or not they make a Nakayama permutation
+        fits = [[1], [2], [3], [0]]
+        assert orders._validated([list(row) for row in CYCLIC_1111]) == (CYCLIC_1111, fits)
+        assert orders._validated([[0, 0], [0, 0]]) == (((0, 0), (0, 0)), [[0, 1], [0, 1]])
+        assert orders._validated([[0, 1, 1], [1, 0, 1], [1, 1, 0]])[1] == [[], [], []]
+        with pytest.raises(TriangleViolationError) as ei:  # columns 1, 2 fit no row
+            orders._validated([[0, 0, 5], [0, 0, 0], [0, 5, 0]])
+        assert ei.value.witness == (0, 1, 2)
+
     def test_not_n_graded_is_still_constructible(self):
         m = ExponentMatrix.from_rows([[0, -1], [2, 0]])
         assert orders.first_negative(m.rows) is not None
