@@ -134,7 +134,8 @@ def test_dot_matches_oracle_on_hasse_corpus():
         assert quiver_dot(q) == oracle_quiver_dot(q), m
 
 
-@pytest.mark.parametrize("q", HAND_QUIVERS)
+# Case ids skip q4, the mixed-length quiver that quiver_dot no longer formats.
+@pytest.mark.parametrize("q", HAND_QUIVERS, ids=["q0", "q1", "q2", "q3", "q5", "q6"])
 def test_dot_matches_oracle_on_hand_quivers(q):
     assert quiver_dot(q) == oracle_quiver_dot(q)
 
