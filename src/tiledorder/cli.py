@@ -17,12 +17,15 @@ in ``COMMANDS``.  ``_scan`` reads the canonical argv forms straight from it;
 every other argv (help, abbreviations, ``--flag=value``, ``--``, repeated
 options, missing or bad values) goes to the argparse parser that
 ``build_parser`` makes from the same table, so argparse is loaded only to
-print help or a usage error, and those texts are argparse's own.
+print help or a usage error, and those texts are argparse's own.  Nor does
+a run that succeeds load ``json``, ``re`` or ``fractions``: files are read
+by json's own C scanner (``json.loads`` runs only to report a malformed
+file), JSON is written by ``files.json_text``, and p_av and a_av are printed
+from int pairs by ``files.rational_str``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 from . import files
@@ -44,14 +47,17 @@ def _vector_str(v) -> str:
 
 
 def cmd_validate(args) -> int:
-    from .orders import validate_order
+    from .orders import OrderReport, validate_order
 
     source = files.read_order_file(args.order)
     if source.kind == "cyclic":
-        rows = files.order_pair(source)[0].rows  # construction cannot be invalid
+        from .gorenstein import cyclic_order
+
+        cyclic_order(source.weights)  # rejects all-zero weights
+        # cyclic_order proves its matrix valid, basic and N-graded
+        report = OrderReport(triangle_ok=True, basic=True, n_graded=True)
     else:
-        rows = source.matrix
-    report = validate_order(rows)
+        report = validate_order(source.matrix)
     checks = [
         ("triangle_ok", report.triangle_ok),
         ("basic", report.basic),
@@ -75,7 +81,7 @@ def cmd_gorenstein(args) -> int:
     print(f"nu: {_vector_str(g.nu.images)}")
     print(f"ell: {_vector_str(g.ell)}")
     print(f"p: {_vector_str(g.p)}")
-    print(f"p_av: {files.rational_str(g.p_av)}")
+    print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
     return 0
 
 
@@ -97,7 +103,7 @@ def cmd_normalize(args) -> int:
         )
     print(f"s: {_vector_str(s)}")
     print(f"p': {_vector_str(new_p)}")
-    print(f"p_av: {files.rational_str(g.p_av)}")
+    print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
     print("m':")
     for row in shifted.rows:
         print(f"  {_vector_str(row)}")
@@ -158,7 +164,7 @@ def cmd_quiver(args) -> int:
 def cmd_mdata_check(args) -> int:
     ed = files.read_equivariant_file(args.mdata)
     print("valid: true")
-    print(f"a_av: {files.rational_str(ed.twist_avg)}")
+    print(f"a_av: {files.rational_str(*ed.avg)}")
     print(f"orbits: {[list(orbit) for orbit in ed.orbits]}")
     return 0
 
@@ -173,7 +179,7 @@ def cmd_mdata_normalize(args) -> int:
         files.write_equivariant_file(args.emit, out)
     print(f"s: {_vector_str(s)}")
     print(f"a': {_vector_str(out.twist)}")
-    print(f"a_av: {files.rational_str(out.twist_avg)}")
+    print(f"a_av: {files.rational_str(*out.avg)}")
     if args.emit:
         print(f"emitted: {args.emit}")
     return 0
@@ -343,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         message = f"{type(exc).__name__}: {exc}"
         status, error = 3, {"code": "Internal", "message": message}
     error.setdefault("witness", None)
-    print(json.dumps(error), file=sys.stderr)
+    print(files.json_text(error), file=sys.stderr)
     return status
 
 

@@ -12,7 +12,6 @@ entrywise non-negative position.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     NegativeCycleError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
-from .orders import check_shift, conjugate_rows, freeze_rows
+from .orders import check_shift, conjugate_rows, freeze_rows, lowest_terms
 
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
@@ -92,16 +91,16 @@ class EquivariantData(Record):
 
     The twist vector controls how the matrix changes along the permutation:
     matrix(perm(i), perm(j)) = matrix(i,j) - twist(i) + twist(j).  Every orbit
-    of the permutation has the same average twist (twist_avg, exact rational).
-    Construct through equivariant_data(), which checks both conditions;
-    order_equivariant_data and conjugate_data derive data that provably
-    keeps them.
+    of the permutation has the same average twist r/g, kept as the int pair
+    avg = (r, g) in lowest terms, g > 0.  Construct through equivariant_data(),
+    which checks both conditions; order_equivariant_data and conjugate_data
+    derive data that provably keeps them.
     """
 
     matrix: Rows
     twist: Vector
     perm: Permutation
-    twist_avg: Fraction
+    avg: tuple[int, int]
     orbits: tuple[Vector, ...]
 
     @property
@@ -111,7 +110,14 @@ class EquivariantData(Record):
     @property
     def period(self) -> int:
         """Denominator g of the average twist; divides every orbit length."""
-        return self.twist_avg.denominator
+        return self.avg[1]
+
+    @property
+    def twist_avg(self) -> Fraction:
+        """The average twist r/g, exact; ``fractions`` is imported when it is read."""
+        from fractions import Fraction
+
+        return Fraction(*self.avg)
 
 
 def equivariant_data(
@@ -143,23 +149,21 @@ def equivariant_data(
                 witness=(i, j),
             )
     orbits = perm.orbits()
-    avg = Fraction(sum(tw[i] for i in orbits[0]), len(orbits[0]))
-    return EquivariantData(
-        matrix=rows, twist=tw, perm=perm, twist_avg=avg, orbits=orbits
-    )
+    avg = lowest_terms(sum(tw[i] for i in orbits[0]), len(orbits[0]))
+    return EquivariantData(matrix=rows, twist=tw, perm=perm, avg=avg, orbits=orbits)
 
 
 def conjugate_data(ed: EquivariantData, s: Sequence[int]) -> EquivariantData:
     """Conjugate matrix and twist by s: m(i,j) + s(i) - s(j), a(i) + s(i) - s(perm i).
 
     No re-check is needed: in the equivariance relation the s terms cancel,
-    and s(i) - s(perm i) sums to zero over each orbit, so twist_avg and the
-    orbits are unchanged.
+    and s(i) - s(perm i) sums to zero over each orbit, so the average twist
+    and the orbits are unchanged.
     """
     shift = check_shift(s, ed.n)
     twist = _conjugate_twist(ed, shift)
     matrix = conjugate_rows(ed.matrix, shift)
-    return EquivariantData(matrix, twist, ed.perm, ed.twist_avg, ed.orbits)
+    return EquivariantData(matrix, twist, ed.perm, ed.avg, ed.orbits)
 
 
 def _conjugate_twist(ed: EquivariantData, shift: Vector) -> Vector:
@@ -181,7 +185,7 @@ def order_equivariant_data(m: ExponentMatrix, g: GorensteinData) -> EquivariantD
         matrix=m.transpose(),
         twist=tuple(-x for x in g.p),
         perm=g.nu,
-        twist_avg=-g.p_av,
+        avg=lowest_terms(-sum(g.p), g.n),
         orbits=g.nu.orbits(),
     )
 
@@ -190,12 +194,11 @@ def floor_align(ed: EquivariantData) -> Vector:
     """Shift making each orbit's twist equal the floor profile of the average.
 
     Walking an orbit (base point first), s(i) = (partial twist sum up to i)
-    - floor(position * twist_avg); the conjugated twist at position pos
-    then equals floor((pos + 1) * r / g) - floor(pos * r / g), the floor
-    profile of r/g = twist_avg, starting at the base point.
+    - floor(position * r / g), (r, g) = avg; the conjugated twist at position
+    pos then equals floor((pos + 1) * r / g) - floor(pos * r / g), the floor
+    profile of the average twist r/g, starting at the base point.
     """
-    r = ed.twist_avg.numerator
-    g = ed.twist_avg.denominator
+    r, g = ed.avg
     s = [0] * ed.n
     for orbit in ed.orbits:
         run = 0
@@ -275,7 +278,7 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     the chain closes into a walk of the fold with negative sum.  Only then
     is m searched for the witness.
 
-    The output needs no check: with r/g = twist_avg (reduced) and a(i) =
+    The output needs no check: with (r, g) = avg (r/g reduced) and a(i) =
     pos * r - sbar(x) for i at position pos of orbit x, its twist at i is
     floor((a(i) + r)/g) - floor(a(i)/g), a rotation of the floor profile as
     r is prime to g: floor-aligned and within 1 of r/g.  As sum_{k<g}
@@ -283,7 +286,7 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
     sbar(x) - sbar(y) >= 0, and g * m'(i,j) is that plus (a(i) mod g) -
     (a(j) mod g) > -g, so the matrix m' is entrywise non-negative.
     """
-    g = ed.period
+    r, g = ed.avg
     s1 = floor_align(ed)
     minus_b = _fold_shift(_conjugate_twist(ed, s1), ed.orbits, g)
     c = [g * si + ci for si, ci in zip(s1, minus_b)]
@@ -293,7 +296,6 @@ def normalize_equivariant(ed: EquivariantData) -> Vector:
         raise NegativeCycleError(
             f"matrix has negative cycle {witness}", witness=witness
         )
-    r = ed.twist_avg.numerator
     s2 = [0] * ed.n
     for x, orbit in enumerate(ed.orbits):
         for pos, i in enumerate(orbit):

@@ -15,15 +15,22 @@ Emission is canonical (fixed key order, one matrix row per line) so that
 re-emitting a parsed file reproduces it byte for byte.  A file whose n (rows
 of "m", or weights) exceeds FILE_LIMIT is refused with TooLargeError before
 anything is built from it.
+
+The ``json`` package is not imported on a run that succeeds: importing it
+loads ``re`` and ``enum`` and compiles six regular expressions, which costs
+a CLI run more than its file work.  Files are read by ``_loads`` through
+the C scanner ``json.loads`` runs, with ``json.loads`` itself called for
+any text that scanner does not accept whole, so errors are json's own; JSON
+text is written by ``json_text``.
 """
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii, make_scanner
 from collections.abc import Sequence
 
 from .errors import InputFileError, TooLargeError
-from .orders import ExponentMatrix, Permutation, Record, _validated
+from .orders import ExponentMatrix, Permutation, Record, _validated, lowest_terms
 
 # Largest n an order or equivariant-data file may have.  The slowest input
 # of that size known, a descending chain (m(i+1,i) = -1, other entries n)
@@ -72,6 +79,46 @@ def _check_size(value) -> None:
         )
 
 
+class _DecoderSettings:
+    """The settings ``json.JSONDecoder()`` gives the scanner it makes."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+
+_scan = make_scanner(_DecoderSettings)
+_WHITESPACE = " \t\n\r"  # JSON's whitespace, which json.decoder skips
+
+
+def _loads(text: str):
+    """``json.loads(text)``, without importing ``json`` when the text is valid.
+
+    json.loads skips whitespace, runs this scanner (the same C function,
+    with the same settings) and requires only whitespace after the value.
+    Any other outcome, a failed scan or trailing data, is handed to
+    json.loads, which is the definition and raises its own exception: that
+    also covers a BOM, which json.loads refuses before scanning and the
+    scanner does not take for a value, and the SystemError CPython 3.11's
+    scanner raises in place of its error while ``json.decoder`` is not
+    imported.
+    """
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except (StopIteration, ValueError, RecursionError, SystemError):
+        pass
+    else:
+        if not text[end:].strip(_WHITESPACE):
+            return value
+    import json
+
+    return json.loads(text)
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -79,12 +126,15 @@ def _load_json(path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+        data = _loads(text)
     except RecursionError as exc:  # arrays or objects nested deeper than the stack
         raise InputFileError(f"{path} nests too deeply to parse: {exc}") from exc
-    except ValueError as exc:  # an integer over sys.get_int_max_str_digits() digits
+    except ValueError as exc:
+        from json import JSONDecodeError  # loaded: only json.loads raises here
+
+        if isinstance(exc, JSONDecodeError):
+            raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+        # an integer over sys.get_int_max_str_digits() digits
         raise InputFileError(
             f"{path} holds an integer too long to parse: {exc}"
         ) from exc
@@ -132,7 +182,7 @@ def order_pair(source: OrderSource) -> tuple[ExponentMatrix, GorensteinData]:
 
 
 def _matrix_lines(rows: Sequence[Sequence[int]]) -> list[str]:
-    body = [f"    {json.dumps(list(row))}" for row in rows]
+    body = [f"    {json_text(row)}" for row in rows]
     return ["  [", ",\n".join(body), "  ]"]
 
 
@@ -141,7 +191,7 @@ def order_file_text(source: OrderSource) -> str:
         return (
             "{\n"
             '  "kind": "cyclic",\n'
-            f'  "weights": {json.dumps(list(source.weights))}\n'
+            f'  "weights": {json_text(source.weights)}\n'
             "}\n"
         )
     open_, body, close = _matrix_lines(source.matrix)
@@ -188,8 +238,8 @@ def equivariant_file_text(ed: EquivariantData) -> str:
     return (
         "{\n"
         f'  "m":\n{open_}\n{body}\n{close},\n'
-        f'  "a": {json.dumps(list(ed.twist))},\n'
-        f'  "nu": {json.dumps(list(ed.perm.images))}\n'
+        f'  "a": {json_text(ed.twist)},\n'
+        f'  "nu": {json_text(ed.perm.images)}\n'
         "}\n"
     )
 
@@ -228,8 +278,31 @@ def quiver_dot(q: Quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rational_str(x: Fraction) -> str:
-    """Exact rational rendering: "num/den", or just "num" for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def rational_str(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms r/g: "r/g", or just "r" when g = 1."""
+    r, g = lowest_terms(num, den)
+    return str(r) if g == 1 else f"{r}/{g}"
+
+
+def json_text(x) -> str:
+    """``json.dumps(x)`` for None, bool, int, str, list, tuple and str-keyed dict.
+
+    Strings go through json's own C escaper, as ``json.dumps`` sends them;
+    any other value raises TypeError.
+    """
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, (list, tuple)):
+        if {int}.issuperset(map(type, x)):  # a file's int vector: one pass in C
+            return "[" + ", ".join(map(repr, x)) + "]"
+        return "[" + ", ".join(map(json_text, x)) + "]"
+    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        items = [encode_basestring_ascii(k) + ": " + json_text(v) for k, v in x.items()]
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -112,6 +112,9 @@ def cyclic_order(weights: Sequence[int]) -> tuple[ExponentMatrix, GorensteinData
 
     No validation is needed: m(i,i) = 0, and the forward paths i -> j -> k
     cover i -> k plus whole laps of weight >= 0, so m(i,j) + m(j,k) >= m(i,k).
+    The order is also basic, m(i,j) + m(j,i) = sum(w) >= 1 for i != j, and
+    N-graded, every entry a sum of weights (``tiledorder validate`` relies
+    on all three).
     """
     w = freeze_vector(weights)
     if any(x < 0 for x in w):

@@ -75,6 +75,18 @@ def freeze_rows(rows: Iterable[Sequence[int]]) -> Rows:
     return tuple(map(freeze_vector, rows))
 
 
+def lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """(num, den) divided by their gcd, for den > 0: the fraction num/den reduced.
+
+    Euclid's loop, as ``math`` and ``fractions`` cost more to import than a
+    CLI run spends here.
+    """
+    g, r = den, num % den
+    while r:
+        g, r = r, g % r
+    return num // g, den // g
+
+
 def _packed(row: Vector, lo: int, size: int) -> int:
     """The int whose little-endian field k of size bytes holds row[k] - lo >= 0."""
     shifted = map(operator.sub, row, repeat(lo))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from tiledorder import Quiver, cli, files, gorenstein, orders, tilting
+from tiledorder import Quiver, cli, cyclic_order, files, gorenstein, orders, tilting
 from tiledorder.cli import main
 
 from test_files import DOT_1111, oracle_quiver_dot
@@ -100,6 +100,46 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert stderr_json(err)["code"] == "MalformedInput"
+
+    def test_cyclic_file_is_not_scanned(self, tmp_path, capsys, monkeypatch):
+        """A cyclic order is valid, basic and N-graded by construction: it is
+        neither packed nor scanned, and reports what its matrix file does."""
+        calls = []
+        real_scan, real_packing = orders.first_triangle_violation, orders._packing
+
+        def scan_spy(*args):
+            calls.append("scan")
+            return real_scan(*args)
+
+        def packing_spy(rows):
+            calls.append("packing")
+            return real_packing(rows)
+
+        monkeypatch.setattr(orders, "first_triangle_violation", scan_spy)
+        for module in (orders, gorenstein):  # bound by import in gorenstein
+            monkeypatch.setattr(module, "_packing", packing_spy)
+        rng = random.Random(2005)
+        path, matrix_path = tmp_path / "w.json", tmp_path / "m.json"
+        for weights in [[5], [1, 2, 0], [0, 0, 3]] + [
+            [rng.randint(0, 3) for _ in range(rng.randint(1, 7))] for _ in range(20)
+        ]:
+            if not any(weights):
+                continue
+            path.write_text(json.dumps({"kind": "cyclic", "weights": weights}))
+            calls.clear()
+            code, out, err = run(capsys, "validate", str(path))
+            report = "triangle_ok: true\nbasic: true\nn_graded: true\n"
+            assert (code, out, err) == (0, report, "")
+            assert calls == [], weights
+            rows = [list(row) for row in cyclic_order(weights)[0].rows]
+            matrix_path.write_text(json.dumps({"kind": "matrix", "m": rows}))
+            assert run(capsys, "validate", str(matrix_path)) == (code, out, err)
+            assert "scan" in calls  # the spies see a matrix file's scan
+        path.write_text('{"kind": "cyclic", "weights": [0, 0]}')
+        calls.clear()
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, only_stderr_json(err)["code"]) == (1, "", "ZeroWeights")
+        assert calls == []
 
     def test_undecodable_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -563,35 +603,30 @@ class TestFileLimit:
 
 # Canonical argv, each with what its run must not import.  Files are written
 # by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
-# array is not used; struct is loaded only to pack a matrix's rows.
-NEVER = {"argparse", "dataclasses", "typing", "inspect", "pathlib", "array"}
+# array is not used; struct is loaded only to pack a matrix's rows.  json
+# (with re) is loaded only to report a malformed file, and fractions only
+# when a caller reads p_av or twist_avg.
+NEVER = {
+    "argparse", "dataclasses", "typing", "inspect", "pathlib", "array",
+    "json", "re", "fractions",
+}
 CANONICAL = {
     "validate-matrix": (
         ["validate", "m.json"],
-        {"tiledorder.gorenstein", "tiledorder.conjugation", "tiledorder.tilting", "fractions"},
+        {"tiledorder.gorenstein", "tiledorder.conjugation", "tiledorder.tilting"},
     ),
-    "validate-cyclic": (
-        ["validate", "w.json"], {"tiledorder.conjugation", "tiledorder.tilting", "fractions"}
-    ),
+    "validate-cyclic": (["validate", "w.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
     "gorenstein": (["gorenstein", "m.json"], {"tiledorder.conjugation", "tiledorder.tilting"}),
     "normalize": (["normalize", "w.json", "--emit", "out.json"], {"tiledorder.tilting"}),
-    "tilting": (["tilting", "w.json"], {"tiledorder.conjugation", "fractions"}),
-    "quiver": (
-        ["quiver", "--oracle", "w.json", "--dot", "out.dot"],
-        {"tiledorder.conjugation", "fractions"},
-    ),
+    "tilting": (["tilting", "w.json"], {"tiledorder.conjugation"}),
+    "quiver": (["quiver", "--oracle", "w.json", "--dot", "out.dot"], {"tiledorder.conjugation"}),
     "mdata-check": (["mdata-check", "md.json"], {"tiledorder.tilting", "tiledorder.gorenstein"}),
     "mdata-normalize": (
         ["mdata-normalize", "md.json", "--emit", "out.json"],
         {"tiledorder.tilting", "tiledorder.gorenstein"},
     ),
-    "cyclic": (
-        ["cyclic", "--weights", "1,1,1,1"],
-        {"tiledorder.conjugation", "tiledorder.tilting", "fractions"},
-    ),
-    "cyclic-emit": (
-        ["cyclic", "--emit", "out.json", "--weights", "2,0"], {"tiledorder.tilting", "fractions"}
-    ),
+    "cyclic": (["cyclic", "--weights", "1,1,1,1"], {"tiledorder.conjugation", "tiledorder.tilting"}),
+    "cyclic-emit": (["cyclic", "--emit", "out.json", "--weights", "2,0"], {"tiledorder.tilting"}),
 }
 
 
@@ -631,7 +666,7 @@ def test_import_path_skips_heavy_modules():
     assert res.returncode == 0, res.stderr
     loaded = set(ast.literal_eval(res.stdout))
     assert "tiledorder.cli" in loaded
-    assert loaded.isdisjoint(NEVER | {"fractions"})
+    assert loaded.isdisjoint(NEVER)
     assert {m for m in loaded if m.startswith("tiledorder.")} == {
         "tiledorder.cli", "tiledorder.files", "tiledorder.orders", "tiledorder.errors"
     }
@@ -650,10 +685,11 @@ def test_command_import_path(tmp_path, argv, absent):
     [
         (["validate", "m.json"], True),
         (["gorenstein", "m.json"], True),
+        (["validate", "w.json"], False),
         (["tilting", "w.json"], False),
         (["cyclic", "--weights", "1,1,1,1"], False),
     ],
-    ids=["validate-matrix", "gorenstein-matrix", "tilting-cyclic", "cyclic"],
+    ids=["validate-matrix", "gorenstein-matrix", "validate-cyclic", "tilting-cyclic", "cyclic"],
 )
 def test_struct_loads_to_pack_a_matrix_only(tmp_path, argv, packs):
     """Packing a matrix's rows pays struct's import; a run that packs none does not."""
@@ -758,6 +794,47 @@ def test_overlong_integer_exit_2(tmp_path, capsys, command, text):
     payload = only_stderr_json(err)
     assert payload["code"] == "MalformedInput"
     assert "integer too long to parse" in payload["message"]
+
+
+# Malformed order files for a fresh interpreter, where json.decoder is not
+# loaded until the scanner's error sends the text to json.loads: each exits
+# 2 with the message json.loads gives (or, for NaN, the integer check's).
+FRESH_MALFORMED = {
+    "open-brace": "{",
+    "trailing-data": "{} x",
+    "bom": '\ufeff{"kind": "cyclic", "weights": [1]}',
+    "deep": '{"kind": "matrix", "m": ' + DEEP + "}",
+    "long-int": '{"kind": "cyclic", "weights": [1, 1' + "0" * 4999 + "]}",
+    "nan": '{"kind": "cyclic", "weights": [NaN]}',
+}
+
+
+@pytest.mark.parametrize("text", FRESH_MALFORMED.values(), ids=FRESH_MALFORMED)
+def test_malformed_file_in_fresh_interpreter(tmp_path, text):
+    (tmp_path / "f.json").write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="1", PYTHONINTMAXSTRDIGITS="4300")
+    res = subprocess.run(
+        [sys.executable, "-S", "-m", "tiledorder", "gorenstein", "f.json"],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        value = json.loads(text)
+    except RecursionError as exc:
+        message = f"f.json nests too deeply to parse: {exc}"
+    except json.JSONDecodeError as exc:
+        message = f"f.json is not valid JSON: {exc}"
+    except ValueError as exc:
+        message = f"f.json holds an integer too long to parse: {exc}"
+    else:
+        message = f'"weights" must be an integer, got {value["weights"][0]!r}'
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    expected = {"code": "MalformedInput", "message": message, "witness": None}
+    assert only_stderr_json(res.stderr) == expected
 
 
 def test_rejections_do_not_depend_on_assert(tmp_path):

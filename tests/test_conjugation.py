@@ -329,9 +329,25 @@ class TestEquivariantData:
         m, g = cyclic_order((2, 0, 0, 0))
         ed = order_equivariant_data(m, g)
         assert ed.twist == (-1, 1, 1, 1)
+        assert ed.avg == (1, 2)
         assert ed.twist_avg == Fraction(1, 2)
         assert ed.period == 2
         assert ed.matrix[0][1] == m.entry(1, 0)
+
+    def test_avg_is_the_reduced_pair(self):
+        """avg is -p_av in lowest terms; twist_avg and period read it."""
+        rng = random.Random(2006)
+        for _ in range(300):
+            weights = [rng.randint(0, 5) for _ in range(rng.randint(1, 9))]
+            if not any(weights):
+                continue
+            m, g = cyclic_order(weights)
+            shift = [rng.randint(-9, 9) for _ in weights]
+            ed = conjugate_data(order_equivariant_data(m, g), shift)
+            avg = -g.p_av
+            assert ed.avg == (avg.numerator, avg.denominator)
+            assert (ed.twist_avg, ed.period) == (avg, avg.denominator)
+            assert equivariant_data(ed.matrix, ed.twist, ed.perm).avg == ed.avg
 
     def test_violation_detected(self):
         with pytest.raises(EquivarianceViolationError) as ei:

@@ -16,6 +16,8 @@ from tiledorder.files import (
     equivariant_file_text,
     order_file_text,
     order_pair,
+    _loads,
+    json_text,
     quiver_dot,
     rational_str,
     read_equivariant_file,
@@ -116,10 +118,22 @@ DOT_1111 = """digraph hasse {
 
 class TestLabels:
     def test_rational_str(self):
-        assert rational_str(Fraction(-2)) == "-2"
-        assert rational_str(Fraction(1, 2)) == "1/2"
-        assert rational_str(Fraction(-7, 3)) == "-7/3"
-        assert rational_str(Fraction(4, 2)) == "2"
+        assert rational_str(-2, 1) == "-2"
+        assert rational_str(1, 2) == "1/2"
+        assert rational_str(-7, 3) == "-7/3"
+        assert rational_str(4, 2) == "2"
+        assert rational_str(-14, 6) == "-7/3"
+        assert rational_str(0, 5) == "0"
+
+    def test_rational_str_matches_fraction_seeded(self):
+        rng = random.Random(2001)
+        for _ in range(3000):
+            common = rng.choice([1, 1, 2, 6, rng.randint(1, 10**6), 10**30 + 7])
+            den = common * rng.choice([1, 1, 2, 3, rng.randint(1, 300), 10**40 + 3])
+            num = common * rng.choice(
+                [0, 1, -1, rng.randint(-1000, 1000), rng.randint(-(10**50), 10**50)]
+            )
+            assert rational_str(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_dot_golden():
@@ -167,6 +181,107 @@ def test_dot_matches_oracle_on_seeded_quivers():
     for _ in range(200):  # one length each, as hasse_quiver gives
         q = random_quiver(rng, [rng.randint(0, 8)])
         assert quiver_dot(q) == oracle_quiver_dot(q), q
+
+
+# Strings for the JSON differential tests: quotes, backslashes, control,
+# non-ASCII and astral characters, and the escapes json writes for them.
+JSON_CHARS = ['"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+              "a", "Z", " ", "é", "\u2028", "\ufeff", "\U0001f600", "\U00010000"]
+JSON_INTS = [0, 1, -1, 7, 10**18, -(2**63), 10**400, -(10**400) + 1]
+
+
+def random_json_str(rng):
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def random_json_value(rng, depth=0):
+    """A nested value of None, bools, ints up to 10**400, strings, lists,
+    tuples and str-keyed dicts."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice(JSON_INTS + [rng.randint(-(10**9), 10**9)])
+    if kind in (2, 3):
+        return random_json_str(rng)
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 4:
+        return tuple(items)
+    if kind in (5, 6):
+        return items
+    return {random_json_str(rng): v for v in items}
+
+
+def random_json_text(rng):
+    """json.dumps of a random value (floats and the constants included), with
+    random layout and whitespace around it."""
+    value = random_json_value(rng)
+    if rng.random() < 0.3:
+        value = [value, rng.choice([1.5, -0.0, 1e300, float("nan"), float("inf")])]
+    text = json.dumps(value, indent=rng.choice([None, 0, 2]), ensure_ascii=rng.random() < 0.5)
+    ws = " \t\n\r"
+    pad = lambda: "".join(rng.choice(ws) for _ in range(rng.randint(0, 3)))
+    return pad() + text + pad()
+
+
+def outcome(f, text):
+    """repr of f(text)'s value (NaN-safe), or its exception's type and str."""
+    try:
+        return "ok", repr(f(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestJson:
+    """files._loads and files.json_text against the stdlib json they replace."""
+
+    def test_loads_matches_json_on_valid_texts(self):
+        rng = random.Random(2002)
+        for _ in range(1500):
+            text = random_json_text(rng)
+            assert outcome(_loads, text) == ("ok", repr(json.loads(text))), text
+
+    def test_loads_matches_json_on_malformed_texts(self):
+        rng = random.Random(2003)
+        noise = ["x", ",", "]", "}", "[", "{", ":", '"', "\\", "\x01", "\ufeff", " ", "0", "-", "NaN"]
+        raised = set()
+        for _ in range(3000):
+            text = random_json_text(rng)
+            cut = rng.randint(0, len(text))
+            edit = rng.randrange(5)
+            if edit == 0:
+                text = text[:cut]
+            elif edit == 1:
+                text = text[:cut] + rng.choice(noise) + text[cut:]
+            elif edit == 2:
+                text = text[:cut] + text[cut + 1:]
+            elif edit == 3:
+                text = "\ufeff" + text
+            else:
+                text = text + rng.choice(noise)
+            got = outcome(_loads, text)
+            assert got == outcome(json.loads, text), text
+            raised.add(got[0])
+        assert {"ok", json.JSONDecodeError} <= raised
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " ", "\ufeff", "\ufeff{}", "{} x", "[1] [2]", "[" * 100_000 + "]" * 100_000,
+         "[1" + "0" * 5000 + "]", "NaN", "-Infinity", '"\\ud800"', '"a\tb"', "1 ", " \n{}\r\n"],
+    )
+    def test_loads_matches_json_on_edge_texts(self, text):
+        assert outcome(_loads, text) == outcome(json.loads, text)
+
+    def test_json_text_matches_dumps(self):
+        rng = random.Random(2004)
+        for _ in range(3000):
+            value = random_json_value(rng)
+            assert json_text(value) == json.dumps(value), value
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {("a",): 1}, {1, 2}, object(), [b"x"]])
+    def test_json_text_refuses_other_values(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 class TestOrderFiles:

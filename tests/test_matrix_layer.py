@@ -992,7 +992,7 @@ class TestBaseMinima:
             if find_negative_cycle(ed.matrix) is not None:
                 continue
             rows = tuple(map(ReadCountingRow, ed.matrix))
-            spy = EquivariantData(rows, ed.twist, ed.perm, ed.twist_avg, ed.orbits)
+            spy = EquivariantData(rows, ed.twist, ed.perm, ed.avg, ed.orbits)
             assert normalize_equivariant(spy) == normalize_equivariant(ed)
             read = [i for i, row in enumerate(rows) if row.reads]
             assert sorted(read) == sorted(orbit[0] for orbit in ed.orbits)
