@@ -38,14 +38,6 @@ from .errors import (
 )
 
 
-def _bool_str(x: bool) -> str:
-    return "true" if x else "false"
-
-
-def _vector_str(v) -> str:
-    return "[" + ", ".join(str(x) for x in v) + "]"
-
-
 def cmd_validate(args) -> int:
     from .orders import OrderReport, validate_order
 
@@ -64,7 +56,7 @@ def cmd_validate(args) -> int:
         ("n_graded", report.n_graded),
     ]
     for name, ok in checks:
-        print(f"{name}: {_bool_str(ok)}")
+        print(f"{name}: {files.json_text(ok)}")
     if report.first_violation is not None:
         i, j, k = report.first_violation
         print(f"first_violation: ({i}, {j}, {k})")
@@ -78,9 +70,9 @@ def cmd_validate(args) -> int:
 
 def cmd_gorenstein(args) -> int:
     _, g = files.order_pair(files.read_order_file(args.order))
-    print(f"nu: {_vector_str(g.nu.images)}")
-    print(f"ell: {_vector_str(g.ell)}")
-    print(f"p: {_vector_str(g.p)}")
+    print(f"nu: {files.json_text(g.nu.images)}")
+    print(f"ell: {files.json_text(g.ell)}")
+    print(f"p: {files.json_text(g.p)}")
     print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
     return 0
 
@@ -101,12 +93,12 @@ def cmd_normalize(args) -> int:
         files.write_order_file(
             args.emit, files.OrderSource(kind="matrix", matrix=shifted.rows)
         )
-    print(f"s: {_vector_str(s)}")
-    print(f"p': {_vector_str(new_p)}")
+    print(f"s: {files.json_text(s)}")
+    print(f"p': {files.json_text(new_p)}")
     print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
     print("m':")
     for row in shifted.rows:
-        print(f"  {_vector_str(row)}")
+        print(f"  {files.json_text(row)}")
     if args.emit:
         print(f"emitted: {args.emit}")
     return 0
@@ -165,7 +157,7 @@ def cmd_mdata_check(args) -> int:
     ed = files.read_equivariant_file(args.mdata)
     print("valid: true")
     print(f"a_av: {files.rational_str(*ed.avg)}")
-    print(f"orbits: {[list(orbit) for orbit in ed.orbits]}")
+    print(f"orbits: {files.json_text(ed.orbits)}")
     return 0
 
 
@@ -177,8 +169,8 @@ def cmd_mdata_normalize(args) -> int:
     out = conjugate_data(ed, s)
     if args.emit:  # before printing, so a failed write prints nothing
         files.write_equivariant_file(args.emit, out)
-    print(f"s: {_vector_str(s)}")
-    print(f"a': {_vector_str(out.twist)}")
+    print(f"s: {files.json_text(s)}")
+    print(f"a': {files.json_text(out.twist)}")
     print(f"a_av: {files.rational_str(*out.avg)}")
     if args.emit:
         print(f"emitted: {args.emit}")
@@ -206,7 +198,7 @@ def cmd_cyclic(args) -> int:
     source = files.OrderSource(kind="cyclic", weights=args.weights)
     text = files.order_file_text(source)
     if args.emit:
-        files.write_order_file(args.emit, source)
+        files.write_text(args.emit, text)
         print(f"emitted: {args.emit}")
     else:
         sys.stdout.write(text)

@@ -11,7 +11,6 @@ entrywise non-negative position.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import accumulate
 
 from .errors import (

@@ -18,10 +18,7 @@ class DomainError(Exception):
         self.witness = witness
 
     def to_json(self) -> dict:
-        witness = self.witness
-        if isinstance(witness, tuple):
-            witness = list(witness)
-        return {"code": self.code, "message": str(self), "witness": witness}
+        return {"code": self.code, "message": str(self), "witness": self.witness}
 
 
 class InputFileError(Exception):

@@ -27,7 +27,6 @@ text is written by ``json_text``.
 from __future__ import annotations
 
 from _json import encode_basestring_ascii, make_scanner
-from collections.abc import Sequence
 
 from .errors import InputFileError, TooLargeError
 from .orders import ExponentMatrix, Permutation, Record, _validated, lowest_terms

@@ -11,7 +11,6 @@ rational and is invariant under conjugation by shift vectors.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import accumulate
 
 from .errors import (

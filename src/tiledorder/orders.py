@@ -10,7 +10,6 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
 from .errors import (

@@ -9,7 +9,6 @@ to smaller, so zero is the unique sink.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from operator import add
 
 from .errors import NotNGradedError, PositiveParameterError, TooLargeError

@@ -557,20 +557,24 @@ def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, comman
     assert outcomes["ambiguous"] == "AmbiguousNakayama"
 
 
-# `python3 tests/cli_corpus.py 16`: one sha256 over the bytes of every
-# command on the seeded corpus.  A change to CLI output updates it on purpose.
-CORPUS_DIGEST_16 = "f0fd7044183c844eb414b08e1b023a4004636c5834ec335af3d4a9049c2c4160"
+# `python3 tests/cli_corpus.py SEED`: one sha256 over the bytes of every
+# command on the seeded corpus.  A change to CLI output updates them on purpose.
+CORPUS_DIGESTS = {
+    16: "f0fd7044183c844eb414b08e1b023a4004636c5834ec335af3d4a9049c2c4160",
+    1818: "8e3ae639df03e2d4fbab0ffa8cc15d6f5dc070a559122ae6b30e73b4cef064d5",
+}
 
 
 @pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="the corpus holds argparse's help texts, which differ between versions",
 )
-def test_cli_corpus_digest():
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_cli_corpus_digest(seed):
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_corpus.py")
-    res = subprocess.run([sys.executable, script, "16"], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, script, str(seed)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == [CORPUS_DIGEST_16], res.stderr
+    assert res.stdout.split() == [CORPUS_DIGESTS[seed]], res.stderr
 
 
 class TestFileLimit:

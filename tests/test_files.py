@@ -274,8 +274,11 @@ class TestJson:
 
     def test_json_text_matches_dumps(self):
         rng = random.Random(2004)
-        for _ in range(3000):
-            value = random_json_value(rng)
+        values = [random_json_value(rng) for _ in range(3000)]
+        # the CLI's shapes: booleans, vectors, orbits and the nested witness
+        # (i, [u, v]) of AmbiguousNakayamaError
+        values += [True, False, (-3, 0, 10**400, -(10**400)), (), ((0, 2), (1,)), (4, [0, 3])]
+        for value in values:
             assert json_text(value) == json.dumps(value), value
 
     @pytest.mark.parametrize("value", [1.5, {1: 2}, {("a",): 1}, {1, 2}, object(), [b"x"]])
