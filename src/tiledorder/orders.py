@@ -102,9 +102,9 @@ def _packed_rows(rows: Sequence[Vector], size: int, top: int) -> list[int]:
     """
     if size > 8:
         return [_packed(row, -(1 << (8 * size - 1)), size) for row in rows]
-    from struct import Struct
+    import struct
 
-    pack = Struct("<%d%s" % (len(rows[0]), "bhiq"[size.bit_length() - 1])).pack
+    pack = struct.Struct("<%d%s" % (len(rows[0]), "bhiq"[size.bit_length() - 1])).pack
     return [int.from_bytes(pack(*row), "little") ^ top for row in rows]
 
 

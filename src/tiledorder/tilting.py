@@ -14,6 +14,7 @@ from operator import add
 from .errors import NotNGradedError, PositiveParameterError, TooLargeError
 from .gorenstein import GorensteinData, cyclic_order
 from .orders import ExponentMatrix, Record, Vector, first_negative
+from .orders import _packed_rows, _packing
 
 # Largest poset hasse_quiver and `tiledorder quiver` accept.  It bounds the
 # quiver's k vertices and at most n * k arrows (one per line, or zero, below
@@ -44,8 +45,11 @@ def _check_n_graded(m: ExponentMatrix) -> None:
 
 
 def _lines(m: ExponentMatrix, g: GorensteinData) -> list[list[Vector]]:
-    """lines[s][i - 1] = T(s, i), row nu(s) truncated at 1 <= i <= -p_s, built
-    after tilting_summands' checks, in its order."""
+    """lines[s][i - 1] = T(s, i), row nu(s) truncated at 1 <= i <= L = -p_s,
+    built after tilting_summands' checks, in its order.  With g =
+    detect_gorenstein(m), 0 <= r_x = m(nu s, x) <= L + 1 (see tilting_summands),
+    so for d = [L, ..., 1] + [0] * (L + 1), max(r_x - i, 0) for i = 1..L is the
+    slice d[L + 1 - r_x : 2L + 1 - r_x]: the line is the n slices zipped."""
     k = grothendieck_rank(g)  # PositiveParameterError first
     if k * m.n > TILTING_LIMIT:
         raise TooLargeError(
@@ -54,8 +58,11 @@ def _lines(m: ExponentMatrix, g: GorensteinData) -> list[list[Vector]]:
             witness=k * m.n,
         )
     _check_n_graded(m)
-    rows = [m.row(i) for i in g.nu.images]
-    return [[_truncate(r, i) for i in range(1, 1 - p)] for r, p in zip(rows, g.p)]
+    lines = []
+    for i, p in zip(g.nu.images, g.p):
+        d = list(range(-p, 0, -1)) + [0] * (1 - p)
+        lines.append(list(zip(*[d[1 - p - r : 1 - 2 * p - r] for r in m.rows[i]])))
+    return lines
 
 
 def tilting_summands(
@@ -151,6 +158,15 @@ class Quiver(Record):
         return q
 
 
+def _beyond_counts(steps: Rows) -> Iterator[tuple[Vector, list[int]]]:
+    """Per s: M(., s), and per t the count of u with M(t, u) + M(u, s) > M(t, s)."""
+    size, ones, top, packed = _packing(steps)
+    cols = list(zip(*steps))
+    for col, c in zip(cols, _packed_rows(cols, size, top)):
+        c -= top + ones  # per field: less both halves, plus half - 1
+        yield col, [(p + c - x * ones & top).bit_count() for p, x in zip(packed, col)]
+
+
 def check_hasse_size(k: int) -> None:
     """Raise TooLargeError, witness k, for a poset of k > HASSE_LIMIT elements."""
     if k > HASSE_LIMIT:
@@ -174,29 +190,34 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     L_s - m(t, s) <= L_s for t != s, and a u dominating t has m(u, s) <=
     m(t, s), or m(u, s) <= 1 if t = s, so E_s(u) >= E_s(t).  Hence line t
     gives a cover of every (s, i) with i <= E_s(t) if nothing dominates t,
-    else none.  Quiver's check cannot fail, so it is skipped: line t gives
-    (s, i) at most one target, slots on different lines hold different
+    else none.  For t != s, X_u = M(t, u) + M(u, s) - M(t, s) is 0 at u = s, t
+    and lies in [0, 2 max M] (triangle inequality).  With M's rows P_t and
+    columns C_s packed once (orders._packing: fields M(t, u) + half and
+    M(u, s) + half; 2 max M = span < half), field u of P_t + C_s - (half + 1
+    + M(t, s)) * ONES is X_u + half - 1 in [0, 2**w): no field borrows, its
+    top bit is set iff X_u >= 1, and nothing dominates t iff n - 2 of them are
+    (_beyond_counts).  Quiver's check cannot fail, so it is skipped: line t
+    gives (s, i) at most one target, slots on different lines hold different
     elements (see tilting_summands) and zero is none of them, so the rank-pair
     codes are distinct; every rank lies in [0, k), so each code names two
-    objects of elements.  Cost: O(n^3) small-int operations, O(arrows) rank
-    slices, one sort of rank pairs (the arrows' order, as the elements are
-    sorted) and no hashing of vectors.  Posets above HASSE_LIMIT elements
-    raise TooLargeError.
+    objects of elements.  Cost: O(n^2) packed operations on n-field ints, not
+    O(n^3) small-int ones, O(arrows) rank slices, one sort of rank pairs (the
+    arrows' order, as the elements are sorted) and no hashing of vectors.
+    Posets above HASSE_LIMIT elements raise TooLargeError.
     """
     els = poset.elements
     k = len(els)
     check_hasse_size(k)
     lengths, steps, ranks = poset.lengths, poset.steps, poset.ranks
     codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
-    for s, (size, here) in enumerate(zip(lengths, ranks)):
-        col = [row[s] for row in steps]
+    counts = _beyond_counts(steps)
+    for s, (size, here, (col, beyond)) in enumerate(zip(lengths, ranks, counts)):
         if 1 not in map(add, steps[s], col):  # nothing dominates s
             codes += [a * k + b for a, b in zip(here, here[1:])]
         ends = [x - y for x, y in zip(lengths, col)]  # E_s(t)
         ends[s] = 0  # line s is done above
         for t, end in enumerate(ends):
-            # s and t always pass: M(t, s) + M(s, s) = M(t, t) + M(t, s)
-            if end > 0 and list(map(add, steps[t], col)).count(col[t]) == 2:
+            if end > 0 and beyond[t] == len(col) - 2:
                 there = ranks[t][col[t]:end + col[t]]
                 codes += [a * k + b for a, b in zip(here[:end], there)]
         if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero

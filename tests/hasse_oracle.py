@@ -9,6 +9,10 @@ labels instead and must agree with both arrow for arrow on every poset,
 including cyclic orders with zero weights, where `cyclic_hasse_oracle` does
 not describe the covers.
 
+`lines_oracle` is `tiledorder.tilting._lines` as first written, one
+`_truncate` call per summand after the same checks; the column-wise slices
+that build the lines now must agree with it, errors included.
+
 Beside them sit the lattice and endomorphism-block definitions that no
 command of the package needs: `is_lattice_vector`, `truncate_shift`,
 `hom_dim`, `tilde_index_sets` and `endo_block_dim`.  The tests check the
@@ -29,7 +33,9 @@ from tiledorder import (
     GorensteinData,
     Quiver,
     TiltingPoset,
+    TooLargeError,
     grothendieck_rank,
+    tilting,
 )
 from tiledorder.orders import Vector, freeze_vector
 from tiledorder.tilting import (
@@ -115,6 +121,22 @@ def bitset_hasse_quiver(poset: TiltingPoset) -> Quiver:
             cand &= ~below[j]
         arrows.extend(reversed(covers))  # ascending (i, j) is the sorted order
     return Quiver(vertices=els, arrows=tuple(arrows))
+
+
+def lines_oracle(m: ExponentMatrix, g: GorensteinData) -> list[list[Vector]]:
+    """lines[s][i - 1] = row nu(s) truncated at 1 <= i <= -p_s, one
+    `_truncate` per summand, after PositiveParameter, TooLarge (against
+    `tilting.TILTING_LIMIT` as it reads now) and NotNGraded checks."""
+    k = grothendieck_rank(g)
+    if k * m.n > tilting.TILTING_LIMIT:
+        raise TooLargeError(
+            f"{k} summands of length {m.n} exceed the tilting limit of "
+            f"{tilting.TILTING_LIMIT} entries",
+            witness=k * m.n,
+        )
+    _check_n_graded(m)
+    rows = [m.row(i) for i in g.nu.images]
+    return [[_truncate(r, i) for i in range(1, 1 - p)] for r, p in zip(rows, g.p)]
 
 
 def _lattice_vector(m: ExponentMatrix, v: Sequence[int]) -> tuple[Vector, bool]:

@@ -607,9 +607,10 @@ class TestFileLimit:
 
 # Canonical argv, each with what its run must not import.  Files are written
 # by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
-# array is not used; struct is loaded only to pack a matrix's rows.  json
-# (with re) is loaded only to report a malformed file, and fractions only
-# when a caller reads p_av or twist_avg.
+# array is not used; struct is loaded only to pack a matrix's rows or, in
+# `quiver`, the tilting poset's step matrix.  json (with re) is loaded only to
+# report a malformed file, and fractions only when a caller reads p_av or
+# twist_avg.
 NEVER = {
     "argparse", "dataclasses", "typing", "inspect", "pathlib", "array",
     "json", "re", "fractions",
@@ -691,12 +692,17 @@ def test_command_import_path(tmp_path, argv, absent):
         (["gorenstein", "m.json"], True),
         (["validate", "w.json"], False),
         (["tilting", "w.json"], False),
+        (["quiver", "w.json"], True),
         (["cyclic", "--weights", "1,1,1,1"], False),
     ],
-    ids=["validate-matrix", "gorenstein-matrix", "validate-cyclic", "tilting-cyclic", "cyclic"],
+    ids=[
+        "validate-matrix", "gorenstein-matrix", "validate-cyclic", "tilting-cyclic",
+        "quiver-cyclic", "cyclic",
+    ],
 )
 def test_struct_loads_to_pack_a_matrix_only(tmp_path, argv, packs):
-    """Packing a matrix's rows pays struct's import; a run that packs none does not."""
+    """Packing a matrix's rows, or the step matrix whose dominance counts
+    hasse_quiver reads, pays struct's import; a run that packs none does not."""
     status, loaded = loaded_modules(tmp_path, argv)
     assert status == 0
     assert ("struct" in loaded) == packs

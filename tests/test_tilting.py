@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,7 @@ from hasse_oracle import (
     hom_dim,
     is_lattice_vector,
     leq,
+    lines_oracle,
     pairwise_hasse_quiver,
     tilde_index_sets,
     truncate_shift,
@@ -361,6 +364,69 @@ class TestSummands:
         assert len(out) == len(nonzero) + 1
 
 
+def outcome(build, m, g):
+    """build(m, g), or the class, witness and message of the error it raises."""
+    try:
+        return build(m, g)
+    except (PositiveParameterError, TooLargeError, NotNGradedError) as exc:
+        return type(exc), exc.witness, str(exc)
+
+
+def empty_line_orders():
+    """60 seeded cyclic orders with a zero weight, all p_i <= 0 and some p_s = 0."""
+    rng = random.Random(221)
+    out = []
+    while len(out) < 60:
+        w = tuple(rng.randint(0, 2) for _ in range(rng.randint(2, 6)))
+        m, g = cyclic_order(w) if any(w) else (None, None)
+        if g is not None and max(g.p) == 0:
+            out.append((m, g))
+    return out
+
+
+def heavy_cyclic_orders(seed, count):
+    """Seeded cyclic orders of n = 2..4 with weight sum 64..300 and all p_i <= 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, total = rng.randint(2, 4), rng.randint(64, 300)
+        cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+        w = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+        m, g = cyclic_order(w)
+        if max(g.p) <= 0:
+            out.append((m, g))
+    return out
+
+
+class TestLines:
+    """tilting._lines builds each line column-wise from one shared list; the
+    one-truncation-per-summand builder it replaced is the oracle."""
+
+    def test_matches_oracle(self):
+        empty = empty_line_orders()
+        heavy = [(m, g) for m, g in heavy_cyclic_orders(222, 40) if min(g.p) <= -100]
+        unit = [cyclic_order((1,) * n) for n in range(1, 13)]
+        assert len(heavy) >= 20
+        for m, g in hasse_corpus() + empty + heavy + unit:
+            assert outcome(tilting._lines, m, g) == outcome(lines_oracle, m, g), m
+        assert all(any(not line for line in tilting._lines(m, g)) for m, g in empty)
+
+    def test_errors_match_oracle(self, monkeypatch):
+        not_graded = ExponentMatrix.from_rows([[0, 5, 8], [1, 0, 3], [-2, 3, 0]])
+        cases = [
+            (cyclic_order((0, 0, 0, 1)), PositiveParameterError, 3),
+            (cyclic_order((1,)), PositiveParameterError, 0),
+            ((not_graded, detect_gorenstein(not_graded)), NotNGradedError, (2, 0)),
+        ]
+        for (m, g), cls, witness in cases:
+            assert outcome(tilting._lines, m, g) == outcome(lines_oracle, m, g)
+            assert outcome(tilting._lines, m, g)[:2] == (cls, witness)
+        monkeypatch.setattr(tilting, "TILTING_LIMIT", 29)
+        for (m, g), witness in ((cyclic_order((1, 1, 1, 1)), 36), (cases[2][0], 30)):
+            assert outcome(tilting._lines, m, g) == outcome(lines_oracle, m, g)
+            assert outcome(tilting._lines, m, g)[:2] == (TooLargeError, witness)
+
+
 class TestPoset:
     def test_unit_cyclic_count(self):
         poset = tilting_poset(M4, G4)
@@ -491,6 +557,39 @@ class TestHasse:
         assert all(len(g.nu.orbits()) == 1 for _, g in single)
         for m, g in multi + single:
             assert_covers_match(m, g)
+
+    def test_matches_oracles_heavy_weights(self):
+        # steps of 64 or more need 2-byte fields in the packed dominance count;
+        # k <= 400 keeps the pairwise oracle's k * k comparisons quick
+        heavy = [(m, g) for m, g in heavy_cyclic_orders(223, 12) if sum(g.p) >= -399]
+        sizes = {orders._packing(tilting_poset(m, g).steps)[0] for m, g in heavy}
+        assert sizes == {1, 2}
+        for m, g in heavy:
+            assert_covers_match(m, g)
+
+    def test_beyond_counts_every_field_width(self):
+        # shortest-path closures of seeded digraphs are metrics >= 0; scaled,
+        # they reach 1, 2, 4 and 8-byte fields and the wider _packed layout,
+        # which posets under HASSE_LIMIT cannot
+        rng = random.Random(224)
+        sizes, free = set(), set()
+        for scale in (1, 10, 10**3, 10**8, 10**17, 10**40):
+            for n in (1, 2, 3, 5, 8) * 3:
+                d = [[rng.randint(0, 40) * (i != j) for j in range(n)]
+                     for i in range(n)]
+                for u, i, j in itertools.product(range(n), repeat=3):
+                    d[i][j] = min(d[i][j], d[i][u] + d[u][j])
+                steps = tuple(tuple(x * scale for x in row) for row in d)
+                sizes.add(orders._packing(steps)[0])
+                for s, (col, beyond) in enumerate(tilting._beyond_counts(steps)):
+                    assert col == tuple(row[s] for row in steps)
+                    tight = [
+                        list(map(add, row, col)).count(x) for row, x in zip(steps, col)
+                    ]
+                    assert beyond == [n - c for c in tight]
+                    free.update(b == n - 2 for t, b in enumerate(beyond) if t != s)
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert free == {True, False}  # pairs with and without a dominator
 
     def test_size_limit(self):
         # one line of HASSE_LIMIT slots over one point, a chain down to zero
