@@ -525,7 +525,8 @@ PAIR_FILES = {
 @pytest.mark.parametrize("command", ["gorenstein", "normalize", "tilting", "quiver"])
 def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, command):
     """A matrix file is packed and pattern-matched once, accepted or not; a
-    cyclic file never."""
+    cyclic file never.  `quiver` also packs the poset's step matrix, through
+    the binding in `tilting`, which is not spied here."""
     real, real_packing, calls, packings = orders._nakayama_fits, orders._packing, [], []
 
     def spy(rows, packing):

@@ -378,8 +378,10 @@ def empty_line_orders():
     out = []
     while len(out) < 60:
         w = tuple(rng.randint(0, 2) for _ in range(rng.randint(2, 6)))
-        m, g = cyclic_order(w) if any(w) else (None, None)
-        if g is not None and max(g.p) == 0:
+        if not any(w):
+            continue
+        m, g = cyclic_order(w)
+        if max(g.p) == 0:
             out.append((m, g))
     return out
 
@@ -419,12 +421,13 @@ class TestLines:
             ((not_graded, detect_gorenstein(not_graded)), NotNGradedError, (2, 0)),
         ]
         for (m, g), cls, witness in cases:
-            assert outcome(tilting._lines, m, g) == outcome(lines_oracle, m, g)
-            assert outcome(tilting._lines, m, g)[:2] == (cls, witness)
+            got = outcome(tilting._lines, m, g)
+            assert got == outcome(lines_oracle, m, g) and got[:2] == (cls, witness)
         monkeypatch.setattr(tilting, "TILTING_LIMIT", 29)
         for (m, g), witness in ((cyclic_order((1, 1, 1, 1)), 36), (cases[2][0], 30)):
-            assert outcome(tilting._lines, m, g) == outcome(lines_oracle, m, g)
-            assert outcome(tilting._lines, m, g)[:2] == (TooLargeError, witness)
+            got = outcome(tilting._lines, m, g)
+            assert got == outcome(lines_oracle, m, g)
+            assert got[:2] == (TooLargeError, witness)
 
 
 class TestPoset:
