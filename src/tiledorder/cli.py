@@ -133,7 +133,7 @@ def cmd_quiver(args) -> int:
     m, g = files.order_pair(source)
     check_hasse_size(grothendieck_rank(g))  # before enumerating the summands
     quiver = hasse_quiver(tilting_poset(m, g))
-    lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.arrows)}"]
+    lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.codes)}"]
     if args.dot:
         files.write_text(args.dot, files.quiver_dot(quiver))
         lines.append(f"emitted: {args.dot}")

@@ -257,22 +257,22 @@ def quiver_dot(q: Quiver) -> str:
 
     The vertices are vectors of one length n, as ``hasse_quiver`` gives
     them: each is labelled "(2,0,1)" through one template built per call,
-    and the label equal to the zero vector's becomes "0".  An arrow end is
-    the vertex object it equals (see Quiver), so its label is found by
-    identity without hashing the vector.  Cost: one format per vertex and one
-    line per arrow.
+    and the label equal to the zero vector's becomes "0".  An arrow is a rank
+    code a * k + b (see Quiver), so its ends' labels are labels[a] and
+    labels[b], looked up by rank, not by identity or by hashing the vector.
+    Cost: one format per vertex and one line per arrow.
     """
     vertices = q.vertices
+    k = len(vertices)
     n = len(vertices[0]) if vertices else 0
     fmt = label_format(n)
     labels = list(map(fmt.__mod__, vertices))
     zero = fmt % ((0,) * n)
     for _ in range(labels.count(zero)):  # once, unless a vertex repeats
         labels[labels.index(zero)] = "0"
-    label = dict(zip(map(id, vertices), labels))
     lines = ["digraph hasse {"]
     lines += [f'  "{s}";' for s in labels]
-    lines += [f'  "{label[id(a)]}" -> "{label[id(b)]}";' for a, b in q.arrows]
+    lines += [f'  "{labels[c // k]}" -> "{labels[c % k]}";' for c in q.codes]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -113,7 +113,10 @@ def cyclic_order(weights: Sequence[int]) -> tuple[ExponentMatrix, GorensteinData
     cover i -> k plus whole laps of weight >= 0, so m(i,j) + m(j,k) >= m(i,k).
     The order is also basic, m(i,j) + m(j,i) = sum(w) >= 1 for i != j, and
     N-graded, every entry a sum of weights (``tiledorder validate`` relies
-    on all three).
+    on all three).  Rows by slicing: with P_j = w_0 + ... + w_{j-1} (j < n)
+    and ext = P + [x + sum(w) for x in P], m(i,j) = ext[j + n] - P_i for
+    j < i and ext[j] - P_i for j >= i, so row i is ext[n:n+i] + ext[i:n]
+    less P_i.
     """
     w = freeze_vector(weights)
     if any(x < 0 for x in w):
@@ -124,12 +127,9 @@ def cyclic_order(weights: Sequence[int]) -> tuple[ExponentMatrix, GorensteinData
     total = sum(w)
     if total == 0:
         raise ZeroWeightsError("weights must not all be zero")
-    prefix = list(accumulate(w, initial=0))
-    m = ExponentMatrix(
-        tuple(
-            tuple(prefix[j] - prefix[i] + (total if j < i else 0) for j in range(n))
-            for i in range(n)
-        )
-    )
+    prefix = list(accumulate(w[:-1], initial=0))  # P_0, ..., P_{n-1}
+    ext = prefix + [x + total for x in prefix]
+    rows = [tuple([x - a for x in ext[n : n + i] + ext[i:n]]) for i, a in enumerate(prefix)]
+    m = ExponentMatrix(tuple(rows))
     p = tuple([1 + x - total for x in w])
     return m, GorensteinData(nu=Permutation.cycle(n), p=p)

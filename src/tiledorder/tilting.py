@@ -131,30 +131,46 @@ def tilting_poset(m: ExponentMatrix, g: GorensteinData) -> TiltingPoset:
 class Quiver(Record):
     """A finite quiver: distinct arrows whose ends are vertices, else ValueError.
 
-    Each arrow end is stored as the vertex object it equals, so the ends can
-    be looked up by identity (see files.quiver_dot).
+    Stored as the vertices and, per arrow a -> b, the rank code
+    rank(a) * k + rank(b), k = len(vertices), where rank(v) is the last
+    position of v in vertices.  ``arrows`` rebuilds the pairs from the codes,
+    so each end is the vertex object itself, and files.quiver_dot labels an
+    end by its rank.  Equality and hash compare (vertices, codes): for equal
+    vertex tuples the codes are a function of the arrows and the arrows a
+    function of the codes (vertices[c // k], vertices[c % k]), so equal codes
+    mean equal arrows and back, as comparing (vertices, arrows) would give.
     """
 
     vertices: tuple
-    arrows: tuple
+    codes: tuple
 
     def __init__(self, vertices: tuple, arrows: tuple):
-        same = {v: v for v in vertices}
+        k = len(vertices)
+        rank = {v: r for r, v in enumerate(vertices)}
         try:
-            arrows = tuple([(same[a], same[b]) for a, b in arrows])
-            distinct = len(set(arrows)) == len(arrows)
+            codes = tuple([rank[a] * k + rank[b] for a, b in arrows])
+            distinct = len(set(codes)) == len(codes)
         except KeyError:  # an end that is not a vertex
             distinct = False
         if not distinct:
             raise ValueError("arrows must be distinct pairs of vertices")
-        super().__init__(vertices, arrows)
+        super().__init__(vertices, codes)
+
+    @property
+    def arrows(self) -> tuple:
+        v, k = self.vertices, len(self.vertices)
+        return tuple([(v[c // k], v[c % k]) for c in self.codes])
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.vertices, self.arrows)
 
     @classmethod
-    def _built(cls, vertices: tuple, arrows: tuple) -> Quiver:
-        """The quiver without __init__'s check, for arrows that the caller
-        proves distinct and whose ends are objects of vertices."""
+    def _built(cls, vertices: tuple, codes: tuple) -> Quiver:
+        """The quiver without __init__'s check, for distinct vertices and rank
+        codes that the caller proves distinct and in [0, k * k), k =
+        len(vertices)."""
         q = cls.__new__(cls)
-        Record.__init__(q, vertices, arrows)
+        Record.__init__(q, vertices, codes)
         return q
 
 
@@ -198,12 +214,14 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     top bit is set iff X_u >= 1, and nothing dominates t iff n - 2 of them are
     (_beyond_counts).  Quiver's check cannot fail, so it is skipped: line t
     gives (s, i) at most one target, slots on different lines hold different
-    elements (see tilting_summands) and zero is none of them, so the rank-pair
-    codes are distinct; every rank lies in [0, k), so each code names two
-    objects of elements.  Cost: O(n^2) packed operations on n-field ints, not
-    O(n^3) small-int ones, O(arrows) rank slices, one sort of rank pairs (the
-    arrows' order, as the elements are sorted) and no hashing of vectors.
-    Posets above HASSE_LIMIT elements raise TooLargeError.
+    elements (see tilting_summands) and zero is none of them, so the rank
+    codes are distinct; every rank lies in [0, k), and the elements are
+    distinct, so the codes are the Quiver's own.  Cost: O(n^2) packed
+    operations on n-field ints, not O(n^3) small-int ones, one rank slice and
+    one C-level map(add) of the line's heads a * k per line pair that gives
+    covers, one sort of the codes (the arrows' order, as the elements are
+    sorted), and no vector pair or hashing of vectors.  Posets above
+    HASSE_LIMIT elements raise TooLargeError.
     """
     els = poset.elements
     k = len(els)
@@ -212,18 +230,18 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
     counts = _beyond_counts(steps)
     for s, (size, here, (col, beyond)) in enumerate(zip(lengths, ranks, counts)):
+        heads = [a * k for a in here]
         if 1 not in map(add, steps[s], col):  # nothing dominates s
-            codes += [a * k + b for a, b in zip(here, here[1:])]
+            codes += map(add, heads, here[1:])
         ends = [x - y for x, y in zip(lengths, col)]  # E_s(t)
         ends[s] = 0  # line s is done above
         for t, end in enumerate(ends):
-            if end > 0 and beyond[t] == len(col) - 2:
-                there = ranks[t][col[t]:end + col[t]]
-                codes += [a * k + b for a, b in zip(here[:end], there)]
+            if end > 0 and beyond[t] == len(col) - 2:  # end <= size ranks, paired
+                codes += map(add, heads, ranks[t][col[t]:end + col[t]])
         if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero
-            codes.append(here[-1] * k)
+            codes.append(heads[-1])
     codes.sort()
-    return Quiver._built(els, tuple([(els[c // k], els[c % k]) for c in codes]))
+    return Quiver._built(els, tuple(codes))
 
 
 def grothendieck_rank(g: GorensteinData) -> int:

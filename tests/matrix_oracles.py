@@ -12,12 +12,15 @@ and built the aligned data and its full fold.
 `tiledorder.normalize_equivariant` must agree with them exactly: same
 witnesses, same exceptions and messages (but for `from_rows`' messages),
 same data.  The staged pipeline folds with the power sum below, so it
-shares no fold code with the package path it checks.
+shares no fold code with the package path it checks.  `cyclic_rows` is
+`tiledorder.cyclic_order`'s first row builder, one conditional per entry;
+the sliced rows must equal it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import accumulate
 from typing import Optional
 
 from tiledorder.conjugation import (
@@ -39,6 +42,17 @@ from tiledorder.orders import ExponentMatrix, Permutation, Rows, Vector
 
 from cycle_oracles import nonneg_conjugate
 from helpers import Fold, power_images
+
+
+def cyclic_rows(weights) -> Rows:
+    """m(i,j) = prefix[j] - prefix[i], plus sum(w) when j < i: the forward
+    path i -> i+1 -> ... -> j around the cycle."""
+    n, total = len(weights), sum(weights)
+    prefix = list(accumulate(weights, initial=0))
+    return tuple(
+        tuple(prefix[j] - prefix[i] + (total if j < i else 0) for j in range(n))
+        for i in range(n)
+    )
 
 
 def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:

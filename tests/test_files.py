@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -152,6 +155,30 @@ def test_dot_matches_oracle_on_hasse_corpus():
 @pytest.mark.parametrize("q", HAND_QUIVERS, ids=["q0", "q1", "q2", "q3", "q5", "q6"])
 def test_dot_matches_oracle_on_hand_quivers(q):
     assert quiver_dot(q) == oracle_quiver_dot(q)
+
+
+def test_quiver_copy_and_pickle():
+    # Quiver stores rank codes and rebuilds through (vertices, arrows)
+    m, g = cyclic_order((1, 2, 0, 3))
+    for q in HAND_QUIVERS + [hasse_quiver(tilting_poset(m, g))]:
+        for twin_q in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert twin_q == q and hash(twin_q) == hash(q)
+            assert twin_q.codes == q.codes and twin_q.arrows == q.arrows
+
+
+# sha256 of quiver_dot's text at large k, as the id-keyed emitter wrote it:
+# two long lines of 9,999 slots each (k = 19,999), and unit weights n = 30.
+DOT_SHA256 = {
+    (10000, 10000): "48534439482be9935df62f93a1975f20157090d243e8a4bd2ce8464bce5719c4",
+    (1,) * 30: "59c5bb709e087c696b7c5001fe1cf3f3560f6b945b72f31cefccb228070c8121",
+}
+
+
+@pytest.mark.parametrize("w", DOT_SHA256, ids=["two-long-lines", "unit-30"])
+def test_dot_sha256_at_large_k(w):
+    m, g = cyclic_order(w)
+    text = quiver_dot(hasse_quiver(tilting_poset(m, g)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[w]
 
 
 ENTRY_POOL = (0, 0, 0, 1, 2, -1, -7, 10**40, -(10**40), 10**40 + 1)

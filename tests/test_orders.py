@@ -24,6 +24,7 @@ from tiledorder import orders
 from tiledorder.files import OrderSource
 
 from helpers import identity, power_images
+from matrix_oracles import cyclic_rows
 
 CYCLIC_1111 = (
     (0, 1, 2, 3),
@@ -299,6 +300,21 @@ class TestCyclicOrder:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             cyclic_order((1, -1))
+
+    def test_rows_match_oracle(self):
+        # the sliced rows against the per-entry builder they replaced, on
+        # seeded weights with zeros, n = 1 and large entries
+        rng = random.Random(2302)
+        cases = [(1,), (7,), (0, 1), (1, 0), (0, 0, 0, 1), (10**30, 0, 3)]
+        while len(cases) < 300:
+            n = rng.randint(1, 12)
+            w = [rng.choice([0, 0, 1, 2, rng.randint(0, 50)]) for _ in range(n)]
+            if any(w):
+                cases.append(tuple(w))
+        for w in cases:
+            rows = cyclic_order(w)[0].rows
+            assert rows == cyclic_rows(w), w
+            assert all(type(row) is tuple for row in rows), w
 
     @given(weights_strategy())
     def test_always_valid_basic_graded(self, w):

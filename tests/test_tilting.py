@@ -615,12 +615,30 @@ class TestHasse:
             assert all(id(a) in ids and id(b) in ids for a, b in q.arrows), m
             assert Quiver(q.vertices, q.arrows) == q, m
 
+    def test_codes_match_pairwise_oracle(self):
+        # the stored rank codes against codes recomputed from the oracle's pairs
+        for m, g in hasse_corpus():
+            poset = tilting_poset(m, g)
+            els = poset.elements
+            k, rank = len(els), {v: r for r, v in enumerate(els)}
+            arrows = pairwise_hasse_quiver(poset).arrows
+            codes = tuple(sorted(rank[a] * k + rank[b] for a, b in arrows))
+            assert hasse_quiver(poset).codes == codes, m
+
     def test_quiver_stores_ends_as_vertices(self):
         vertices = ((0, 0), (1, 1))
         arrow = (tuple([1, 1]), tuple([0, 0]))  # equal to vertices, other objects
         q = Quiver(vertices, (arrow,))
         assert q.arrows == (arrow,)
         assert q.arrows[0][0] is vertices[1] and q.arrows[0][1] is vertices[0]
+
+    def test_quiver_repeated_vertex_takes_last_rank(self):
+        vertices = ((0, 0), (1, 0), (0, 0))
+        q = Quiver(vertices, (((1, 0), (0, 0)),))
+        assert q.codes == (1 * 3 + 2,)
+        assert q.arrows[0][1] is vertices[2]
+        with pytest.raises(ValueError):
+            Quiver(vertices, (((1, 0), (0, 0)), ((1, 0), vertices[0])))
 
     def test_quiver_validates_endpoints(self):
         with pytest.raises(ValueError):
