@@ -105,11 +105,11 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_tilting(args) -> int:
-    from .tilting import grothendieck_rank, tilting_summands
+    from .tilting import tilting_summands
 
     m, g = files.order_pair(files.read_order_file(args.order))
     summands = tilting_summands(m, g)
-    print(f"rank: {grothendieck_rank(g)}")
+    print(f"rank: {len(summands)}")
     write = sys.stdout.write  # one write per line, as print would stream it
     line = "(%d,%d) -> " + files.label_format(m.n) + "\n"  # one slot, non-zero vector
     for labels, vec in summands:

@@ -22,7 +22,7 @@ from .errors import (
 
 Vector = tuple[int, ...]
 Rows = tuple[Vector, ...]
-Packing = tuple[int, int, int, list[int]]  # see _packing
+Packing = tuple[int, int, int, list[int], list[int]]  # see _packing
 
 
 class _RecordType(type):
@@ -109,13 +109,17 @@ def _packed_rows(rows: Sequence[Vector], size: int, top: int) -> list[int]:
 
 
 def _packing(rows: Rows) -> Packing:
-    """(size, ones, top, packed): square rows packed into ints, one per row.
+    """(size, ones, top, packed, cols): square rows and columns packed into ints.
 
     Field k (w = 8 * size bits, size 1, 2, 4, 8 or more bytes) of packed[j]
-    holds m(j,k) + half, half = 2**(w-1) > span = 2 * (hi - lo), where hi =
-    max(0, max m) and lo = min(0, min m).  ``ones`` has 1 in each of the n
-    fields and ``top`` = half * ones.  The triangle scan and the pattern
-    matcher share it; it takes about the memory of the input.
+    and of cols[j] holds m(j,k) + half and m(k,j) + half, half = 2**(w-1) >
+    span = 2 * (hi - lo), hi = max(0, max m), lo = min(0, min m).  ``ones``
+    has 1 in each of the n fields and ``top`` = half * ones.  ``_defects``
+    sums packed[t] + cols[s] - top - (m(t,s) + c) * ONES: with X_u = m(t,u) +
+    m(u,s) - m(t,s), its field u is X_u + half - c, and 2 * lo - hi <= X_u <=
+    2 * hi - lo gives |X_u| <= span < half, so for c in {0, 1} no field
+    borrows and the top bit is set iff X_u >= c.  It takes about twice the
+    memory of the input.
     """
     span = 2 * (max(0, *map(max, rows)) - min(0, *map(min, rows)))
     size = span.bit_length() // 8 + 1
@@ -123,7 +127,16 @@ def _packing(rows: Rows) -> Packing:
         size = 1 << (size - 1).bit_length()  # a struct item: 1, 2, 4 or 8 bytes
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * len(rows), "little")
     top = ones << (8 * size - 1)
-    return size, ones, top, _packed_rows(rows, size, top)
+    cols = _packed_rows(list(zip(*rows)), size, top)
+    return size, ones, top, _packed_rows(rows, size, top), cols
+
+
+def _defects(rows: Rows, packing: Packing, c: int, scanned: Iterable[int]):
+    """Per t in scanned, per s: top bits of the fields u with X_u >= c (_packing)."""
+    _, ones, top, packed, cols = packing
+    for t in scanned:
+        base = packed[t] - top - c * ones
+        yield [base + q - x * ones & top for q, x in zip(cols, rows[t])]
 
 
 def first_triangle_violation(
@@ -133,22 +146,23 @@ def first_triangle_violation(
 ) -> tuple[int, int, int] | None:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
-    Only rows i in ``scanned`` (increasing; all when None) are scanned: with
-    a Nakayama permutation its orbits' least points suffice (see _validated).
-    The rows are read packed, as ``_packing`` gives them (built here when
-    None): field k of P_j holds m(j,k) + half.  Each defect d = m(i,j) +
-    m(j,k) - m(i,k) has |d| <= span < half, so every field of P_j - P_i +
-    (m(i,j) + half) * ONES lies in (0, 2**w): field k is d + half with no
-    borrow, its top bit set iff d >= 0.
+    Only rows i in ``scanned`` (any increasing iterable; all when None) are
+    scanned: with a Nakayama permutation its orbits' least points suffice
+    (see _validated).  Each row is read through ``_defects`` at c = 0 (on
+    ``_packing``, built here when None): field j of mask k is clear iff
+    m(i,j) + m(j,k) < m(i,k).  As the row's first violating j is the least
+    j_k, mask k's first clear field, the least (i, j_k, k) is the first.
     """
-    _, ones, top, packed = _packing(rows) if packing is None else packing
-    n = len(rows)
-    for i in range(n) if scanned is None else scanned:
-        row = rows[i]
-        base = top - packed[i]
-        for j, (mij, pj) in enumerate(zip(row, packed)):
-            if (pj + base + mij * ones) & top != top:
-                return (i, j, next(k for k in range(n) if mij + rows[j][k] < row[k]))
+    packing = _packing(rows) if packing is None else packing
+    top, n = packing[2], len(rows)
+    scanned = range(n) if scanned is None else list(scanned)
+    for i, masks in zip(scanned, _defects(rows, packing, 0, scanned)):
+        if masks.count(top) != n:
+            row = rows[i]
+            return min(
+                (i, next(j for j in range(n) if row[j] + rows[j][k] < row[k]), k)
+                for k, mask in enumerate(masks) if mask != top
+            )
     return None
 
 
@@ -176,21 +190,20 @@ def _nakayama_fits(rows: Rows, packing: Packing) -> Iterator[list[int]]:
 
     Those whose pattern (m(u,x) - m(u,0))_x is i's (m(0,i) - m(x,i))_x, the
     constant being m(u,0) + m(0,i): one hash per row and one lookup per column.
-    A pattern is keyed by one int in ``_packing``'s layout: row u by P_u -
-    m(u,0) * ONES, column i by (m(0,i) + 2 * half) * ONES - Q_i, Q_i the
-    column packed as a row.  Field x of the two keys is m(u,x) - m(u,0) +
-    half and m(0,i) - m(x,i) + half; each difference lies within hi - lo <
+    A pattern is keyed by one int in ``_packing``'s layout: row u by
+    packed[u] - m(u,0) * ONES, column i by (m(0,i) + 2 * half) * ONES -
+    cols[i].  Field x of the two keys is m(u,x) - m(u,0) + half and
+    m(0,i) - m(x,i) + half; each difference lies within hi - lo <
     half of 0, so each field lies in (0, 2**w), no field borrows, and equal
     keys are equal patterns.  No triangle inequality is needed.
     """
-    size, ones, top, packed = packing
+    _, ones, top, packed, cols = packing
     fitting: dict[int, list[int]] = {}
     for u, key in enumerate([p - row[0] * ones for row, p in zip(rows, packed)]):
         fitting.setdefault(key, []).append(u)
-    cols = list(zip(*rows))
     base = top << 1  # 2 * half * ONES
-    for col, q in zip(cols, _packed_rows(cols, size, top)):
-        yield fitting.get(base + col[0] * ones - q, [])
+    for m0i, q in zip(rows[0], cols):
+        yield fitting.get(base + m0i * ones - q, [])
 
 
 def _is_basic(rows: Rows) -> bool:

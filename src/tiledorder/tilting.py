@@ -13,8 +13,7 @@ from operator import add
 
 from .errors import NotNGradedError, PositiveParameterError, TooLargeError
 from .gorenstein import GorensteinData, cyclic_order
-from .orders import ExponentMatrix, Record, Vector, first_negative
-from .orders import _packed_rows, _packing
+from .orders import ExponentMatrix, Record, Vector, _defects, _packing, first_negative
 
 # Largest poset hasse_quiver and `tiledorder quiver` accept.  It bounds the
 # quiver's k vertices and at most n * k arrows (one per line, or zero, below
@@ -174,15 +173,6 @@ class Quiver(Record):
         return q
 
 
-def _beyond_counts(steps: Rows) -> Iterator[tuple[Vector, list[int]]]:
-    """Per s: M(., s), and per t the count of u with M(t, u) + M(u, s) > M(t, s)."""
-    size, ones, top, packed = _packing(steps)
-    cols = list(zip(*steps))
-    for col, c in zip(cols, _packed_rows(cols, size, top)):
-        c -= top + ones  # per field: less both halves, plus half - 1
-        yield col, [(p + c - x * ones & top).bit_count() for p, x in zip(packed, col)]
-
-
 def check_hasse_size(k: int) -> None:
     """Raise TooLargeError, witness k, for a poset of k > HASSE_LIMIT elements."""
     if k > HASSE_LIMIT:
@@ -206,38 +196,35 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     L_s - m(t, s) <= L_s for t != s, and a u dominating t has m(u, s) <=
     m(t, s), or m(u, s) <= 1 if t = s, so E_s(u) >= E_s(t).  Hence line t
     gives a cover of every (s, i) with i <= E_s(t) if nothing dominates t,
-    else none.  For t != s, X_u = M(t, u) + M(u, s) - M(t, s) is 0 at u = s, t
-    and lies in [0, 2 max M] (triangle inequality).  With M's rows P_t and
-    columns C_s packed once (orders._packing: fields M(t, u) + half and
-    M(u, s) + half; 2 max M = span < half), field u of P_t + C_s - (half + 1
-    + M(t, s)) * ONES is X_u + half - 1 in [0, 2**w): no field borrows, its
-    top bit is set iff X_u >= 1, and nothing dominates t iff n - 2 of them are
-    (_beyond_counts).  Quiver's check cannot fail, so it is skipped: line t
-    gives (s, i) at most one target, slots on different lines hold different
-    elements (see tilting_summands) and zero is none of them, so the rank
-    codes are distinct; every rank lies in [0, k), and the elements are
-    distinct, so the codes are the Quiver's own.  Cost: O(n^2) packed
-    operations on n-field ints, not O(n^3) small-int ones, one rank slice and
-    one C-level map(add) of the line's heads a * k per line pair that gives
-    covers, one sort of the codes (the arrows' order, as the elements are
-    sorted), and no vector pair or hashing of vectors.  Posets above
-    HASSE_LIMIT elements raise TooLargeError.
+    else none.  For t != s, X_u = M(t, u) + M(u, s) - M(t, s) >= 0 (triangle
+    inequality) is 0 at u = s, t, so nothing dominates t iff n - 2 top bits,
+    one per X_u >= 1, are set in the c = 1 mask (t, s) of orders._defects (on
+    M packed by orders._packing).  Quiver's check cannot fail, so it is
+    skipped: line t gives (s, i) at most one target, slots on different lines
+    hold different elements (see tilting_summands) and zero is none of them,
+    so the rank codes are distinct; every rank lies in [0, k), and the
+    elements are distinct, so the codes are the Quiver's own.  Cost: O(n^2)
+    packed operations on n-field ints, not O(n^3) small-int ones, one rank
+    slice and one C-level map(add) of the line's heads a * k per line pair
+    that gives covers, one sort of the codes (the arrows' order, as the
+    elements are sorted), and no vector pair or hashing of vectors.  Posets
+    above HASSE_LIMIT elements raise TooLargeError.
     """
     els = poset.elements
     k = len(els)
     check_hasse_size(k)
     lengths, steps, ranks = poset.lengths, poset.steps, poset.ranks
     codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
-    counts = _beyond_counts(steps)
-    for s, (size, here, (col, beyond)) in enumerate(zip(lengths, ranks, counts)):
+    masks = list(_defects(steps, _packing(steps), 1, range(len(steps))))
+    for s, (size, here, col) in enumerate(zip(lengths, ranks, zip(*steps))):
         heads = [a * k for a in here]
         if 1 not in map(add, steps[s], col):  # nothing dominates s
             codes += map(add, heads, here[1:])
         ends = [x - y for x, y in zip(lengths, col)]  # E_s(t)
         ends[s] = 0  # line s is done above
         for t, end in enumerate(ends):
-            if end > 0 and beyond[t] == len(col) - 2:  # end <= size ranks, paired
-                codes += map(add, heads, ranks[t][col[t]:end + col[t]])
+            if end > 0 and masks[t][s].bit_count() == len(col) - 2:
+                codes += map(add, heads, ranks[t][col[t]:end + col[t]])  # end <= size
         if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero
             codes.append(heads[-1])
     codes.sort()

@@ -69,6 +69,15 @@ def test_import_loads_no_submodule():
     assert [m for m in loaded if m.startswith("tiledorder")] == ["tiledorder"]
 
 
+def package_trees():
+    """(module, AST) of each module of the package, by file name."""
+    package = os.path.dirname(tiledorder.__file__)
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as f:
+                yield filename[:-3], ast.parse(f.read())
+
+
 def cli_reach():
     """(module, name) of each top-level definition of the package that
     `cli.COMMANDS` or `cli.main` reaches.
@@ -78,14 +87,8 @@ def cli_reach():
     (function-level imports included), and every `module.name` of a sibling
     module it imports.  A reached class reaches all its methods.
     """
-    package = os.path.dirname(tiledorder.__file__)
     defs, imported = {}, {}
-    for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py"):
-            continue
-        module = filename[:-3]
-        with open(os.path.join(package, filename), encoding="utf-8") as f:
-            tree = ast.parse(f.read())
+    for module, tree in package_trees():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[module, node.name] = node
@@ -132,3 +135,19 @@ def test_every_export_is_reached_by_the_cli():
         not in reached
     ]
     assert not unreached, f"exports that no CLI command reaches: {unreached}"
+
+
+def test_packed_layout_is_named_only_in_orders():
+    # orders._packing owns the packed-integer layout (rows and columns, read
+    # through orders._defects); no other module packs a matrix itself
+    layout = {"_packed", "_packed_rows"}
+    naming = set()
+    for module, tree in package_trees():
+        for node in ast.walk(tree):
+            names = {
+                getattr(node, field, None)
+                for field in ("id", "attr", "name", "asname")
+            }
+            if names & layout:
+                naming.add(module)
+    assert naming == {"orders"}

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import operator
 import pickle
 import random
@@ -24,6 +25,7 @@ from tiledorder import orders
 from tiledorder.files import OrderSource
 
 from helpers import identity, power_images
+import matrix_oracles
 from matrix_oracles import cyclic_rows
 
 CYCLIC_1111 = (
@@ -480,3 +482,110 @@ class TestKernelsAgainstDefinitions:
             assert orders._packed_rows(rows, size, None) == [
                 orders._packed(row, -half, size) for row in rows
             ]
+
+
+def closures(rng, scales):
+    """Seeded shortest-path closures (metrics >= 0) of digraphs with arcs in
+    0..40, scaled: fields of 1, 2, 4 and 8 bytes and the wider _packed layout."""
+    for scale in scales:
+        for n in (1, 2, 3, 5, 8) * 3:
+            d = [[rng.randint(0, 40) * (i != j) for j in range(n)] for i in range(n)]
+            for u, i, j in itertools.product(range(n), repeat=3):
+                d[i][j] = min(d[i][j], d[i][u] + d[u][j])
+            yield tuple(tuple(x * scale for x in row) for row in d)
+
+
+def literal_defects(rows, c):
+    """Per t, per s, the fields u (top bits of _defects' layout) with
+    m(t,u) + m(u,s) - m(t,s) >= c, as the set of those u."""
+    n = len(rows)
+    return [
+        [{u for u in range(n) if rows[t][u] + rows[u][s] - rows[t][s] >= c}
+         for s in range(n)]
+        for t in range(n)
+    ]
+
+
+def mask_fields(packing, masks):
+    """The fields u whose top bit is set in each mask."""
+    w, n = 8 * packing[0], len(packing[3])
+    return [{u for u in range(n) if mask >> (w * u + w - 1) & 1} for mask in masks]
+
+
+class TestDefects:
+    """orders._defects, the one kernel of the triangle scan and Hasse
+    dominance, against the literal defects at every field width."""
+
+    SCALES = (1, 10, 10**3, 10**8, 10**17, 10**40)
+
+    def assert_columns_packed(self, rows):
+        size, _, top, _, cols = packing = orders._packing(rows)
+        transpose = list(zip(*rows))
+        assert cols == orders._packed_rows(transpose, size, top)
+        return packing
+
+    def test_every_field_width(self):
+        # c = 1 on closures, as Hasse dominance reads it: the bit count of
+        # (t, s) is the number of u with M(t,u) + M(u,s) > M(t,s)
+        rng = random.Random(224)
+        sizes, free = set(), set()
+        for steps in closures(rng, self.SCALES):
+            n = len(steps)
+            packing = self.assert_columns_packed(steps)
+            sizes.add(packing[0])
+            got = list(orders._defects(steps, packing, 1, range(n)))
+            for t, masks in enumerate(got):
+                for s, mask in enumerate(masks):
+                    beyond = sum(
+                        steps[t][u] + steps[u][s] > steps[t][s] for u in range(n)
+                    )
+                    assert mask.bit_count() == beyond
+                    if t != s:
+                        free.add(beyond == n - 2)
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert free == {True, False}  # pairs with and without a dominator
+
+    def test_negative_entries_and_violations(self):
+        # c = 0 and c = 1 on rows with negative entries: random rows, full of
+        # violations, and conjugated closures with one entry raised past a
+        # triangle; each field's top bit against the sign of its defect
+        rng = random.Random(225)
+        sizes, signs = set(), set()
+        for closure in closures(rng, self.SCALES):
+            n = len(closure)
+            scale = max(1, *map(max, closure))
+            shift = [rng.randint(-60, 60) * scale for _ in range(n)]
+            planted = [list(row) for row in orders.conjugate_rows(closure, shift)]
+            a, b = rng.randrange(n), rng.randrange(n)
+            planted[a][b] += rng.randint(0, 2) * scale * (a != b)
+            for rows in (tuple(map(tuple, planted)), kernel_rows(rng, n, scale)):
+                packing = self.assert_columns_packed(rows)
+                sizes.add(packing[0])
+                for c in (0, 1):
+                    got = orders._defects(rows, packing, c, range(n))
+                    expected = literal_defects(rows, c)
+                    assert [mask_fields(packing, m) for m in got] == expected
+                violation = matrix_oracles.first_triangle_violation(rows)
+                signs.add(violation is None)
+                assert orders.first_triangle_violation(rows) == violation
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert signs == {True, False}
+
+    def test_defects_read_scanned_rows_only(self):
+        rng = random.Random(226)
+        rows = kernel_rows(rng, 6, 1)
+        packing = orders._packing(rows)
+        every = list(orders._defects(rows, packing, 0, range(6)))
+        assert list(orders._defects(rows, packing, 0, iter([4, 1]))) == [
+            every[4], every[1]
+        ]
+
+    def test_witness_takes_least_j_before_least_k(self):
+        # row 0 breaks k = 1 first at j = 3 and k = 2 first at j = 1: the
+        # witness is (0, 1, 2), not the (0, 3, 1) of the least bad column
+        rows = ((0, 5, 5, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+        witness = matrix_oracles.first_triangle_violation(rows)
+        assert witness == (0, 1, 2)
+        assert orders.first_triangle_violation(rows) == witness
+        assert orders.first_triangle_violation(rows, iter(range(4))) == witness
+        assert orders.first_triangle_violation(rows, (1, 2, 3)) == (1, 2, 0)
