@@ -19,7 +19,13 @@ from .errors import (
     NegativeCycleError,
 )
 from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
-from .orders import check_shift, conjugate_rows, freeze_rows, lowest_terms
+from .orders import _relaxer, check_shift, conjugate_rows, freeze_rows, lowest_terms
+
+
+# _bellman_ford packs the rows (orders._relaxer) before pass SCALAR_PASSES
+# of a matrix of n >= PACKED_FROM: packing costs several scalar passes, and
+# a packed pass saves little below n = 32 (measured on CPython 3.11).
+SCALAR_PASSES, PACKED_FROM = 8, 32
 
 
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
@@ -47,23 +53,39 @@ def _bellman_ford(rows: Rows) -> tuple[list[int], tuple[int, ...] | None]:
     an unrelaxed vertex after a simple path P, dist(x) >= m(P), though
     dist(x) <= m(P) held before that relaxation.  So n steps back from x lie
     on a cycle of pred.
+
+    A row whose dist has not dropped since it was last scanned relaxes
+    nothing, as dist(j) <= dist(i) + m(i,j) after that scan and dist only
+    decreases; only the other, stale rows are scanned.  Without a negative
+    entry nothing relaxes at all.  The passes from SCALAR_PASSES on, for n
+    >= PACKED_FROM, test a row with one masked sum (``orders._relaxer``).
+    Each shortcut keeps every relaxation, in the same order.
     """
     n = len(rows)
+    if min(map(min, rows)) >= 0:  # dist = 0 relaxes nothing
+        return [0] * n, None
     for i in range(n):
         if rows[i][i] < 0:
             return [], (i,)
-    dist = [0] * n
-    pred = [-1] * n
-    for _ in range(n + 1):
+    dist, pred, stale, relaxations = [0] * n, [-1] * n, [True] * n, None
+    for p in range(n + 1):
+        if p == SCALAR_PASSES and n >= PACKED_FROM:
+            relaxations = _relaxer(rows, dist, stale)
         last = -1
-        for i in range(n):
-            di = dist[i]
-            row = rows[i]
-            for j in range(n):
-                if i != j and di + row[j] < dist[j]:
-                    dist[j] = di + row[j]
-                    pred[j] = i
-                    last = j
+        if relaxations is None:
+            for i, row in enumerate(rows):
+                if stale[i]:
+                    stale[i] = False
+                    di = dist[i]
+                    for j, x in enumerate(row):
+                        if di + x < dist[j]:
+                            dist[j] = di + x
+                            pred[j] = i
+                            stale[j] = True
+                            last = j
+        else:
+            for i, last in relaxations():
+                pred[last] = i
         if last < 0:
             return dist, None
     for _ in range(n):

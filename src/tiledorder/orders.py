@@ -206,12 +206,67 @@ def _nakayama_fits(rows: Rows, packing: Packing) -> Iterator[list[int]]:
         yield fitting.get(base + m0i * ones - q, [])
 
 
-def _is_basic(rows: Rows) -> bool:
-    """m(i,j) + m(j,i) > 0 for all i < j: row i against column i beyond the diagonal."""
-    return all(
-        min(map(operator.add, row[i + 1 :], col[i + 1 :]), default=1) > 0
-        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
-    )
+def _is_basic(rows: Rows, packing: Packing | None = None) -> bool:
+    """m(i,j) + m(j,i) > 0 for all i != j, on zero-diagonal rows.
+
+    ``_defects``' c = 1 sum at s = t, packed[t] + cols[t] - top - ONES (on
+    ``_packing``, built here when None), has its top bit set in field u iff
+    m(t,u) + m(u,t) >= 1, so in all n fields but u = t iff row t is basic.
+    """
+    _, ones, top, packed, cols = _packing(rows) if packing is None else packing
+    base, others = top + ones, len(rows) - 1
+    return all((p + q - base & top).bit_count() == others for p, q in zip(packed, cols))
+
+
+def _relaxer(
+    rows: Rows, dist: list[int], stale: list[bool]
+) -> Callable[[], Iterator[tuple[int, int]]]:
+    """Bellman-Ford passes over square rows with m(i,i) >= 0, one per call.
+
+    A pass takes each i with stale[i] in increasing order, clears it, lowers
+    every dist[j] > dist[i] + m(i,j) to that value, sets stale[j] and yields
+    (i, j), in increasing j: the relaxations of a scalar loop over i and j.
+
+    One masked sum tests row i: field j (w = 8 * size bits, half =
+    2**(w-1)) of ``packed`` holds dist[j] + half, and that of gaps[i] =
+    (half - 1) * ONES - ``_packed``(row i, -half) holds -1 - m(i,j), so field
+    j of packed + gaps[i] - dist[i] * ONES is X_j + half, X_j = dist[j] -
+    m(i,j) - dist[i] - 1, whose top bit is set iff j relaxes, as long as
+    |X_j| < half: then no field borrows.  This holds for n + 1 passes in
+    all, those before the call included.  dist starts at 0, only decreases,
+    and dist[j] set through i is the weight of dist[i]'s walk plus one edge.
+    Rows go in increasing order, so a pass adds at most n edges to a walk,
+    and lo * n(n + 1) <= dist <= 0, lo = min(0, min m).  So |X_j| <=
+    (n(n + 1) + 1) * span + 1 < half, span = max(0, max m) - lo.  X_i =
+    -m(i,i) - 1 < 0: the diagonal never relaxes.
+    """
+    n = len(rows)
+    lo = min(0, *map(min, rows))
+    span = max(0, *map(max, rows)) - lo
+    size = ((n * (n + 1) + 1) * span + 1).bit_length() // 8 + 1
+    w, half = 8 * size, 1 << 8 * size - 1
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+    top = half * ones
+    gaps = [top - ones - _packed(row, -half, size) for row in rows]
+    packed = _packed(dist, -half, size)
+
+    def relaxations() -> Iterator[tuple[int, int]]:
+        nonlocal packed
+        for i, row, gap in zip(range(n), rows, gaps):
+            if not stale[i]:
+                continue
+            stale[i] = False
+            di = dist[i]
+            mask = packed + gap - di * ones & top
+            while mask:
+                j = (mask & -mask).bit_length() // w - 1
+                x = di + row[j]
+                packed -= dist[j] - x << w * j
+                dist[j], stale[j] = x, True
+                yield i, j
+                mask &= mask - 1
+
+    return relaxations
 
 
 def first_negative(rows: Rows) -> tuple[int, int] | None:
@@ -275,10 +330,11 @@ def validate_order(rows: Iterable[Sequence[int]]) -> OrderReport:
     N-gradedness (all entries >= 0) are reported, not raised.
     """
     frozen = _square(rows)
-    violation = first_triangle_violation(frozen)
+    packing = _packing(frozen)
+    violation = first_triangle_violation(frozen, None, packing)
     return OrderReport(
         triangle_ok=violation is None,
-        basic=_is_basic(frozen),
+        basic=_is_basic(frozen, packing),
         n_graded=first_negative(frozen) is None,
         first_violation=violation,
     )

@@ -9,6 +9,7 @@ to smaller, so zero is the unique sink.
 
 from __future__ import annotations
 
+import sys
 from operator import add
 
 from .errors import NotNGradedError, PositiveParameterError, TooLargeError
@@ -52,9 +53,9 @@ def _lines(m: ExponentMatrix, g: GorensteinData) -> list[list[Vector]]:
     k = grothendieck_rank(g)  # PositiveParameterError first
     if k * m.n > TILTING_LIMIT:
         raise TooLargeError(
-            f"{k} summands of length {m.n} exceed the tilting limit of "
-            f"{TILTING_LIMIT} entries",
-            witness=k * m.n,
+            f"{_decimal(k)[0]} summands of length {m.n} exceed the tilting "
+            f"limit of {TILTING_LIMIT} entries",
+            witness=_decimal(k * m.n)[1],
         )
     _check_n_graded(m)
     lines = []
@@ -72,8 +73,8 @@ def tilting_summands(
     Lists row nu(i) truncated at j, 1 <= j <= -p_i, in label order, and
     after line 0 the zero vector with its n labels (i, -p_i + 1): k = 1 -
     sum(p) vectors.  Requires all p_i <= 0, then k * n <= TILTING_LIMIT
-    (TooLargeError, witness k * n, before any summand is built), then an
-    N-graded m (NotNGradedError, witness the first negative entry in
+    (TooLargeError, witness k * n as _decimal gives it, before any summand
+    is built), then an N-graded m (NotNGradedError, witness the first negative entry in
     row-major order), and g = detect_gorenstein(m), as ``files.order_pair`` gives.
     Why none of the rest needs a check:
     - m(nu(s), j) = ell_s - m(j, s) <= ell_s = 1 - p_s, equal at j = s.
@@ -174,11 +175,23 @@ class Quiver(Record):
 
 
 def check_hasse_size(k: int) -> None:
-    """Raise TooLargeError, witness k, for a poset of k > HASSE_LIMIT elements."""
+    """Raise TooLargeError, witness k (see _decimal), for k > HASSE_LIMIT elements."""
     if k > HASSE_LIMIT:
+        shown, witness = _decimal(k)
         raise TooLargeError(
-            f"poset has {k} elements, exceeds Hasse limit {HASSE_LIMIT}", witness=k
+            f"poset has {shown} elements, exceeds Hasse limit {HASSE_LIMIT}",
+            witness=witness,
         )
+
+
+def _decimal(k: int) -> tuple[str, int | None]:
+    """(str(k), k) for a size k > 0 in an error, or ("10**D or more", None)
+    when k >= 10**D, as str refuses more than D digits: D =
+    sys.get_int_max_str_digits(), no limit when 0 or absent (int() is 0)."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and k >= 10**digits:
+        return f"10**{digits} or more", None
+    return str(k), k
 
 
 def hasse_quiver(poset: TiltingPoset) -> Quiver:

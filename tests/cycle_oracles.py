@@ -4,7 +4,9 @@ Most enumerate permutations or cycles outright, so their cost is factorial;
 the Floyd-Warshall check is cubic.  Each rejects inputs above a small size.
 The package's own cycle test is `tiledorder.find_negative_cycle`
 (Bellman-Ford predecessors); the tests compare it, and the normalization it
-drives, against these definitions.
+drives, against these definitions, and its passes against
+`scalar_bellman_ford`, the entry-by-entry loop it replaced, which also
+serves `nonneg_conjugate`.
 
 `cycle_sum`, `conjugate_matrix` and `nonneg_conjugate` are direct
 definitions that no command of the package needs; the tests check the
@@ -18,7 +20,7 @@ from itertools import combinations, permutations as iter_permutations
 from typing import Optional, Sequence
 
 from tiledorder import DomainError, NegativeCycleError, TooLargeError
-from tiledorder.conjugation import _bellman_ford, _square
+from tiledorder.conjugation import _square
 from tiledorder.orders import Rows, Vector, check_shift, conjugate_rows
 
 BRUTEFORCE_LIMIT = 8
@@ -59,6 +61,56 @@ def conjugate_matrix(matrix: Sequence[Sequence[int]], s: Sequence[int]) -> Rows:
     return conjugate_rows(rows, check_shift(s, len(rows)))
 
 
+def scalar_bellman_ford(rows: Rows) -> tuple[list[int], Optional[tuple[int, ...]]]:
+    """Shortest-path potentials from a virtual zero-weight source, by the
+    package's Bellman-Ford before it skipped rows or packed them: one scalar
+    test per entry and pass, whose relaxations the package must repeat.
+
+    Returns (dist, None) when no negative cycle exists, in which case
+    m(i,j) + dist(i) - dist(j) >= 0 for all i != j.  Otherwise returns
+    (_, cycle), a deterministic simple cycle of negative sum in forward
+    order, smallest index first; a negative diagonal entry is reported as a
+    singleton before any relaxation.
+
+    Relaxing j through i sets pred[j] = i, after which dist(j) >= dist(i) +
+    m(i,j), as dist(i) only decreases; the relaxation closing a cycle of
+    pred is strict, so every such cycle is negative (Cherkassky and Goldberg,
+    Math. Programming 85, 1999).  Without a negative cycle n - 1 passes
+    settle dist.  Let x be relaxed in pass n + 1: had its pred chain ended at
+    an unrelaxed vertex after a simple path P, dist(x) >= m(P), though
+    dist(x) <= m(P) held before that relaxation.  So n steps back from x lie
+    on a cycle of pred.
+    """
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] < 0:
+            return [], (i,)
+    dist = [0] * n
+    pred = [-1] * n
+    for _ in range(n + 1):
+        last = -1
+        for i in range(n):
+            di = dist[i]
+            row = rows[i]
+            for j in range(n):
+                if i != j and di + row[j] < dist[j]:
+                    dist[j] = di + row[j]
+                    pred[j] = i
+                    last = j
+        if last < 0:
+            return dist, None
+    for _ in range(n):
+        last = pred[last]
+    cycle = [last]
+    v = pred[last]
+    while v != last:
+        cycle.append(v)
+        v = pred[v]
+    cycle.reverse()
+    start = cycle.index(min(cycle))
+    return [], tuple(cycle[start:] + cycle[:start])
+
+
 def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
     """A shift s with m(i,j) + s(i) - s(j) >= 0 everywhere, when one exists.
 
@@ -73,7 +125,7 @@ def nonneg_conjugate(matrix: Sequence[Sequence[int]]) -> Vector:
     <= dist(i) + m(i,j) for i != j, and the diagonal is non-negative.
     """
     rows = _square(matrix)
-    dist, cycle = _bellman_ford(rows)
+    dist, cycle = scalar_bellman_ford(rows)
     if cycle is not None and len(cycle) == 1:
         i = cycle[0]
         raise NegativeDiagonalError(

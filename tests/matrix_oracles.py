@@ -2,11 +2,13 @@
 
 These are the direct definitions the package used before its fast versions:
 the triple-loop triangle scan (also behind the structural checks, in
-`from_rows`), Gorenstein detection that tries every row against every
+`from_rows`), the basicness test that adds row i to column i beyond the
+diagonal, Gorenstein detection that tries every row against every
 column, the row/column pattern matcher keyed by tuples, the orbit fold that sums g permuted copies of the matrix, and the
 staged normalize pipeline that tested the whole matrix for a negative cycle
 and built the aligned data and its full fold.
-`tiledorder.orders.first_triangle_violation`, `ExponentMatrix.from_rows`,
+`tiledorder.orders.first_triangle_violation`, `tiledorder.orders._is_basic`,
+`ExponentMatrix.from_rows`,
 `tiledorder.detect_gorenstein`, `tiledorder.orders._nakayama_fits`, the closed-form fold kernel of
 `tiledorder.conjugation` (see `helpers.kernel_fold`) and
 `tiledorder.normalize_equivariant` must agree with them exactly: same
@@ -19,6 +21,7 @@ the sliced rows must equal it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from itertools import accumulate
 from typing import Optional
@@ -64,6 +67,14 @@ def first_triangle_violation(rows: Rows) -> Optional[tuple[int, int, int]]:
                 if rows[i][j] + rows[j][k] < rows[i][k]:
                     return (i, j, k)
     return None
+
+
+def is_basic(rows: Rows) -> bool:
+    """m(i,j) + m(j,i) > 0 for all i < j: row i against column i beyond the diagonal."""
+    return all(
+        min(map(operator.add, row[i + 1 :], col[i + 1 :]), default=1) > 0
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
+    )
 
 
 def from_rows(rows) -> Rows:

@@ -311,6 +311,25 @@ class TestQuiver:
         assert payload["witness"] == 199999999
 
 
+@pytest.mark.parametrize("command", ["gorenstein", "tilting", "quiver"])
+def test_unprintable_rank_is_too_large(tmp_path, capsys, command):
+    """Twelve weights of 4,299 digits pass the reader, but k = 1 - sum(p)
+    has more digits than str converts: `tilting` and `quiver` report it as
+    TooLarge without printing it (witness null), and `gorenstein` runs."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "cyclic", "weights": [9 * 10**4298 + 1] * 12}))
+    code, out, err = run(capsys, command, str(path))
+    if command == "gorenstein":
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("p_av: -")
+        return
+    assert (code, out) == (1, "")
+    payload = only_stderr_json(err)
+    assert payload["code"] == "TooLarge"
+    assert payload["witness"] is None
+    assert "10**4300 or more" in payload["message"]
+
+
 class TestNormalize:
     def test_already_normal(self, unit_cyclic_file, capsys):
         code, out, _ = run(capsys, "normalize", str(unit_cyclic_file))
@@ -607,7 +626,8 @@ class TestFileLimit:
 
 
 # Canonical argv, each with what its run must not import.  Files are written
-# by the test: w.json is cyclic, m.json a matrix, md.json equivariant data.
+# by the test: w.json is cyclic, m.json a matrix, md.json and mc.json
+# equivariant data.
 # array is not used; struct is loaded only to pack a matrix's rows or, in
 # `quiver`, the tilting poset's step matrix.  json (with re) is loaded only to
 # report a malformed file, and fractions only when a caller reads p_av or
@@ -641,6 +661,12 @@ def loaded_modules(tmp_path, argv):
     (tmp_path / "w.json").write_text('{"kind": "cyclic", "weights": [1, 1, 1, 1]}')
     (tmp_path / "m.json").write_text('{"kind": "matrix", "m": [[0, 1], [1, 0]]}')
     (tmp_path / "md.json").write_text('{"m": [[0, 2], [2, 0]], "a": [1, 1], "nu": [1, 0]}')
+    # a descending chain of 40 points, m(i+1, i) = -1, under the identity:
+    # Bellman-Ford on its 40 x 40 block minima packs its later passes
+    chain = [[-1 if i == j + 1 else 40 * (i != j) for j in range(40)] for i in range(40)]
+    (tmp_path / "mc.json").write_text(
+        json.dumps({"m": chain, "a": [0] * 40, "nu": list(range(40))})
+    )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -695,15 +721,18 @@ def test_command_import_path(tmp_path, argv, absent):
         (["tilting", "w.json"], False),
         (["quiver", "w.json"], True),
         (["cyclic", "--weights", "1,1,1,1"], False),
+        (["mdata-normalize", "md.json"], False),
+        (["mdata-normalize", "mc.json"], False),
     ],
     ids=[
         "validate-matrix", "gorenstein-matrix", "validate-cyclic", "tilting-cyclic",
-        "quiver-cyclic", "cyclic",
+        "quiver-cyclic", "cyclic", "mdata-normalize", "mdata-normalize-packed",
     ],
 )
 def test_struct_loads_to_pack_a_matrix_only(tmp_path, argv, packs):
     """Packing a matrix's rows, or the step matrix whose dominance counts
-    hasse_quiver reads, pays struct's import; a run that packs none does not."""
+    hasse_quiver reads, pays struct's import; a run that packs none does not,
+    nor does Bellman-Ford, which packs through int.to_bytes."""
     status, loaded = loaded_modules(tmp_path, argv)
     assert status == 0
     assert ("struct" in loaded) == packs

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tiledorder import conjugation
 from tiledorder import (
     EquivarianceViolationError,
     NegativeCycleError,
@@ -30,6 +31,7 @@ from cycle_oracles import (
     negative_simple_cycles,
     nonneg_conjugate,
     normalized_cycle_conjugate,
+    scalar_bellman_ford,
 )
 from equivariant_templates import (
     SYMBOLS,
@@ -173,6 +175,152 @@ class TestFindNegativeCycle:
                 rows[cycle[k]][cycle[(k + 1) % length]] = step
             start = cycle.index(min(cycle))
             assert find_negative_cycle(rows) == tuple(cycle[start:] + cycle[:start])
+
+
+# (SCALAR_PASSES, PACKED_FROM) of conjugation: the package's choice, scalar
+# passes only, packed passes only, and a switch to packed ones after two
+# scalar passes, which packs a dist that is no longer zero
+KERNELS = {
+    "default": (conjugation.SCALAR_PASSES, conjugation.PACKED_FROM),
+    "scalar": (10**9, 10**9),
+    "packed": (0, 1),
+    "switch": (2, 1),
+}
+
+
+@pytest.fixture(params=list(KERNELS))
+def kernel(request, monkeypatch):
+    passes, size = KERNELS[request.param]
+    monkeypatch.setattr(conjugation, "SCALAR_PASSES", passes)
+    monkeypatch.setattr(conjugation, "PACKED_FROM", size)
+    return request.param
+
+
+def circulant_cycle(rng, n):
+    """The circulant c(j - i mod n), c(1) = -1, c(d) >= n - d for d >= 2,
+    conjugated by a random shift and relabeled: its one negative simple
+    cycle is the relabeled Hamiltonian cycle 0 -> 1 -> ... (as in the
+    benchmark's long negative cycles)."""
+    c = [0, -1] + [n - d + rng.randint(0, 3) for d in range(2, n)]
+    s = [rng.randint(-n, n) for _ in range(n)]
+    pi = list(range(n))
+    rng.shuffle(pi)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[pi[i]][pi[j]] = c[(j - i) % n] + s[i] - s[j]
+    cycle = [pi[i] for i in range(n)]
+    start = cycle.index(min(cycle))
+    return tuple(map(tuple, rows)), tuple(cycle[start:] + cycle[:start])
+
+
+def descending_chain(n, v):
+    """m(i+1, i) = -1, other off-diagonal entries v: a negative cycle
+    exactly when v < n - 1, and about n passes either way."""
+    return tuple(
+        tuple(-1 if i == j + 1 else 0 if i == j else v for j in range(n))
+        for i in range(n)
+    )
+
+
+def bound_cycle(n, a, b):
+    """m(i, i+1 mod n) = -a, other off-diagonal entries b >= 0: each pass
+    walks the whole cycle, so dist falls toward -a * n(n + 1), the bound
+    behind the packed field width, with span a + b."""
+    return tuple(
+        tuple(-a if j == (i + 1) % n else 0 if i == j else b for j in range(n))
+        for i in range(n)
+    )
+
+
+class TestPackedBellmanFord:
+    """conjugation._bellman_ford, which skips rows whose dist did not drop
+    and packs the later passes of large matrices, against the scalar loop
+    it replaced: equal (dist, cycle) under every choice of kernel."""
+
+    def assert_oracle(self, rows):
+        got = conjugation._bellman_ford(rows)
+        assert got == scalar_bellman_ford(rows), rows
+        return got
+
+    def test_random_matrices(self, kernel):
+        rng = random.Random(2501)
+        outcomes = set()
+        for scale in (1, 10**3, 10**20, 10**40):
+            for _ in range(250):
+                n = rng.randint(1, 9)
+                rows = [[rng.randint(-3, 9) * scale for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    rows[i][i] = 0
+                if rng.random() < 0.2:  # a planted negative diagonal
+                    i = rng.randrange(n)
+                    rows[i][i] = -rng.randint(1, 3) * scale
+                dist, cycle = self.assert_oracle(tuple(map(tuple, rows)))
+                outcomes.add(None if cycle is None else min(len(cycle), 2))
+        assert outcomes == {None, 1, 2}
+
+    def test_non_negative_matrices_take_the_closed_form(self, kernel, monkeypatch):
+        def no_packing(*args):
+            raise AssertionError("a non-negative matrix was packed")
+
+        monkeypatch.setattr(conjugation, "_relaxer", no_packing)
+        rng = random.Random(2502)
+        for n in (1, 2, 5, 40):
+            zero = ((0,) * n,) * n
+            assert self.assert_oracle(zero) == ([0] * n, None)
+            rows = tuple(
+                tuple(rng.randint(0, 9) * 10**k for _ in range(n)) for k in range(n)
+            )
+            assert self.assert_oracle(rows) == ([0] * n, None)
+
+    def test_long_negative_cycles(self, kernel):
+        rng = random.Random(2503)
+        for n in (2, 3, 5, 12, 16, 24, 31, 32, 33, 40, 60):
+            rows, cycle = circulant_cycle(rng, n)
+            assert self.assert_oracle(rows) == ([], cycle)
+
+    def test_descending_chains(self, kernel):
+        for n in (1, 2, 3, 8, 31, 32, 40):
+            for v in (n - 3, n - 2, n - 1, n, n + 1):
+                if v >= 0:
+                    dist, cycle = self.assert_oracle(descending_chain(n, v))
+                    assert (cycle is not None) == (v < n - 1)
+
+    def test_descending_chain_at_the_file_limit(self):
+        # the slowest known input of FILE_LIMIT = 256 rows (files.py)
+        dist, cycle = self.assert_oracle(descending_chain(256, 256))
+        assert cycle is None and min(dist) == -255
+
+    def test_spans_at_field_width_edges(self, monkeypatch):
+        # span at each edge of the width rule: the largest span whose bound
+        # (n(n + 1) + 1) * span + 1 fits below half = 2**(8 * size - 1),
+        # and one more, which needs the next size; on cycles whose dist
+        # falls to -(span - b) * n(n + 1), and on random rows of that span.
+        # Besides the kernels above, the packing may come just before the
+        # last pass, when dist is lowest (its fields must hold dist + half).
+        rng = random.Random(2504)
+        for n in (2, 3, 5, 9):
+            steps = n * (n + 1) + 1
+            for size in (1, 2, 3, 4, 8, 9, 17):
+                edge = ((1 << 8 * size - 1) - 2) // steps
+                for span in (edge, edge + 1):
+                    cases = [bound_cycle(n, span - b, b) for b in (0, 1, span // 2)]
+                    rows = [[rng.randint(-span, 0) for _ in range(n)] for _ in range(n)]
+                    for i in range(n):
+                        rows[i][i] = 0
+                    cases.append(tuple(map(tuple, rows)))
+                    for passes, least in [*KERNELS.values(), (n, 1)]:
+                        monkeypatch.setattr(conjugation, "SCALAR_PASSES", passes)
+                        monkeypatch.setattr(conjugation, "PACKED_FROM", least)
+                        for rows in cases:
+                            self.assert_oracle(rows)
+
+    def test_nonneg_conjugate_does_not_call_the_package_loop(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("nonneg_conjugate ran the code under test")
+
+        monkeypatch.setattr(conjugation, "_bellman_ford", fail)
+        assert nonneg_conjugate([(0, -2), (3, 0)]) == (0, -2)
 
 
 class TestMinCycle:

@@ -571,6 +571,31 @@ class TestDefects:
         assert {1, 2, 4, 8} < sizes and max(sizes) > 8
         assert signs == {True, False}
 
+    def test_is_basic_every_field_width(self):
+        # the packed read (c = 1 at s = t) against the scalar row-plus-column
+        # oracle, on zero-diagonal rows with negative entries, pairs summing
+        # to exactly 0 and closures, at 1-, 2-, 4-, 8- and wider fields
+        rng = random.Random(227)
+        sizes, outcomes = set(), set()
+        for closure in closures(rng, self.SCALES):
+            n = len(closure)
+            scale = max(1, *map(max, closure))
+            rows = [list(row) for row in kernel_rows(rng, n, scale)]
+            for i in range(n):
+                rows[i][i] = 0
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                rows[a][b] = -rows[b][a]
+            for rows in (closure, tuple(map(tuple, rows))):
+                packing = orders._packing(rows)
+                sizes.add(packing[0])
+                expected = matrix_oracles.is_basic(rows)
+                outcomes.add((n == 1, expected))
+                assert orders._is_basic(rows, packing) == expected
+                assert orders._is_basic(rows) == expected
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
     def test_defects_read_scanned_rows_only(self):
         rng = random.Random(226)
         rows = kernel_rows(rng, 6, 1)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -313,6 +314,22 @@ class TestSummands:
         with pytest.raises(TooLargeError) as ei:
             tilting_summands(M4, G4)
         assert ei.value.witness == 36
+
+    def test_unprintable_sizes_are_not_printed(self):
+        # a size with more digits than str converts (sys's limit, 4300 by
+        # default) is named by that bound, with a null witness; one digit
+        # fewer is printed as before
+        digits = sys.get_int_max_str_digits()
+        for k, shown in [
+            (HASSE_LIMIT + 1, str(HASSE_LIMIT + 1)),
+            (10**digits - 1, "9" * digits),
+            (10**digits, None),
+            (7 * 10 ** (digits + 9), None),
+        ]:
+            with pytest.raises(TooLargeError) as ei:
+                tilting.check_hasse_size(k)
+            assert ei.value.witness == (k if shown else None)
+            assert f"poset has {shown or f'10**{digits} or more'} elements" in str(ei.value)
 
     def test_size_checked_after_parameters_before_grading(self, monkeypatch):
         monkeypatch.setattr(tilting, "TILTING_LIMIT", 0)
