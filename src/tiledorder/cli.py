@@ -8,7 +8,9 @@ input files or flags, 3 for internal failures (any other exception, or
 {"code": "Internal", "message": "<Type>: <text>", "witness": null} object on
 stderr.  The closed-form oracle rules hold only for strictly positive
 weights, so a disagreement on weights with a zero is a domain error (code
-``ZeroWeights``, witness the first zero weight's index).  All output is
+``ZeroWeights``, witness the first zero weight's index).  ``tilting`` and
+``quiver`` share one size budget and error order, that of ``tilting._lines``,
+and ``quiver --dot`` writes its DOT lines as they come.  All output is
 deterministic.
 
 A run imports only what its subcommand uses: each ``cmd_*`` imports from the
@@ -121,21 +123,13 @@ def cmd_tilting(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    from .tilting import (
-        check_hasse_size,
-        cyclic_hasse_oracle,
-        grothendieck_rank,
-        hasse_quiver,
-        tilting_poset,
-    )
+    from .tilting import cyclic_hasse_oracle, hasse_quiver, tilting_poset
 
     source = files.read_order_file(args.order)
-    m, g = files.order_pair(source)
-    check_hasse_size(grothendieck_rank(g))  # before enumerating the summands
-    quiver = hasse_quiver(tilting_poset(m, g))
+    quiver = hasse_quiver(tilting_poset(*files.order_pair(source)))
     lines = [f"vertices: {len(quiver.vertices)}", f"arrows: {len(quiver.codes)}"]
     if args.dot:
-        files.write_text(args.dot, files.quiver_dot(quiver))
+        files.write_text(args.dot, files.dot_lines(quiver))
         lines.append(f"emitted: {args.dot}")
     if args.oracle:
         if source.kind != "cyclic":
@@ -198,7 +192,7 @@ def cmd_cyclic(args) -> int:
     source = files.OrderSource(kind="cyclic", weights=args.weights)
     text = files.order_file_text(source)
     if args.emit:
-        files.write_text(args.emit, text)
+        files.write_text(args.emit, (text,))
         print(f"emitted: {args.emit}")
     else:
         sys.stdout.write(text)

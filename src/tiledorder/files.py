@@ -188,27 +188,22 @@ def _matrix_lines(rows: Sequence[Sequence[int]]) -> list[str]:
 
 def order_file_text(source: OrderSource) -> str:
     if source.kind == "cyclic":
-        return (
-            "{\n"
-            '  "kind": "cyclic",\n'
-            f'  "weights": {json_text(source.weights)}\n'
-            "}\n"
-        )
+        return f'{{\n  "kind": "cyclic",\n  "weights": {json_text(source.weights)}\n}}\n'
     open_, body, close = _matrix_lines(source.matrix)
     return f'{{\n  "kind": "matrix",\n  "m":\n{open_}\n{body}\n{close}\n}}\n'
 
 
-def write_text(path, text: str) -> None:
-    """Write text to path; an unwritable path raises InputFileError."""
+def write_text(path, lines: Iterable[str]) -> None:
+    """fh.writelines(lines) to path (a str as (text,)); InputFileError if unwritable."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise InputFileError(f"cannot write {path}: {exc}") from exc
 
 
 def write_order_file(path, source: OrderSource) -> None:
-    write_text(path, order_file_text(source))
+    write_text(path, (order_file_text(source),))
 
 
 def read_equivariant_file(path) -> EquivariantData:
@@ -245,7 +240,7 @@ def equivariant_file_text(ed: EquivariantData) -> str:
 
 
 def write_equivariant_file(path, ed: EquivariantData) -> None:
-    write_text(path, equivariant_file_text(ed))
+    write_text(path, (equivariant_file_text(ed),))
 
 
 def label_format(n: int) -> str:
@@ -253,15 +248,15 @@ def label_format(n: int) -> str:
     return "(" + ",".join(["%d"] * n) + ")"
 
 
-def quiver_dot(q: Quiver) -> str:
-    """Deterministic DOT text: vertices then arrows, in their sorted order.
+def dot_lines(q: Quiver) -> Iterator[str]:
+    """Deterministic DOT text, one line at a time: vertices then arrows, sorted.
 
     The vertices are vectors of one length n, as ``hasse_quiver`` gives
     them: each is labelled "(2,0,1)" through one template built per call,
     and the label equal to the zero vector's becomes "0".  An arrow is a rank
     code a * k + b (see Quiver), so its ends' labels are labels[a] and
     labels[b], looked up by rank, not by identity or by hashing the vector.
-    Cost: one format per vertex and one line per arrow.
+    Cost: one format per vertex and one line per arrow; only the labels are held.
     """
     vertices = q.vertices
     k = len(vertices)
@@ -271,11 +266,16 @@ def quiver_dot(q: Quiver) -> str:
     zero = fmt % ((0,) * n)
     for _ in range(labels.count(zero)):  # once, unless a vertex repeats
         labels[labels.index(zero)] = "0"
-    lines = ["digraph hasse {"]
-    lines += [f'  "{s}";' for s in labels]
-    lines += [f'  "{labels[c // k]}" -> "{labels[c % k]}";' for c in q.codes]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph hasse {\n"
+    for s in labels:
+        yield f'  "{s}";\n'
+    for c in q.codes:
+        yield f'  "{labels[c // k]}" -> "{labels[c % k]}";\n'
+    yield "}\n"
+
+
+def quiver_dot(q: Quiver) -> str:
+    return "".join(dot_lines(q))  # the text that ``quiver --dot`` writes
 
 
 def rational_str(num: int, den: int) -> str:

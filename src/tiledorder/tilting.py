@@ -4,7 +4,8 @@ For a Gorenstein order with all parameters p_i <= 0, truncating the shifted
 projectives gives the finite poset of basic tilting summands: the vectors
 row nu(i) truncated at j, max(m(nu i, x) - j, 0), for 1 <= j <= -p_i, and
 the zero vector, ordered componentwise.  The Hasse quiver points from larger
-to smaller, so zero is the unique sink.
+to smaller, so zero is the unique sink.  Both are built only after one size
+check, k * n <= TILTING_LIMIT (see _lines).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from .errors import NotNGradedError, PositiveParameterError, TooLargeError
 from .gorenstein import GorensteinData, cyclic_order
 from .orders import ExponentMatrix, Record, Vector, _defects, _packing, first_negative
 
-# Largest poset hasse_quiver and `tiledorder quiver` accept.  It bounds the
-# quiver's k vertices and at most n * k arrows (one per line, or zero, below
-# each vertex), and the k * k / 8 bytes (50 MB) of the tests' bitset oracle.
-HASSE_LIMIT = 20_000
-# Largest k * n, summands times their length, that tilting_summands builds.
-# At this size `tiledorder tilting` peaks at about 170 MB of RSS for n = 2,
-# where each summand's own objects dominate, and at 24 MB for n = 100.
+# The one size budget of `tiledorder tilting` and `tiledorder quiver`: the
+# largest k * n, summands times their length, that _lines builds.  At k * n
+# near 10**6 `tilting` peaks at 171, 52 and 27 MB of RSS for n = 2, 10 and 50
+# (each summand's own objects dominate at n = 2), and `quiver --dot`, which
+# writes its DOT lines as they come, at 139, 53 and 30 MB (child processes,
+# Python 3.11, shared 2-vCPU Linux host).
 TILTING_LIMIT = 1_000_000
 
 Slot = tuple[int, int]  # (s, i): row nu(s) truncated at i
@@ -174,16 +174,6 @@ class Quiver(Record):
         return q
 
 
-def check_hasse_size(k: int) -> None:
-    """Raise TooLargeError, witness k (see _decimal), for k > HASSE_LIMIT elements."""
-    if k > HASSE_LIMIT:
-        shown, witness = _decimal(k)
-        raise TooLargeError(
-            f"poset has {shown} elements, exceeds Hasse limit {HASSE_LIMIT}",
-            witness=witness,
-        )
-
-
 def _decimal(k: int) -> tuple[str, int | None]:
     """(str(k), k) for a size k > 0 in an error, or ("10**D or more", None)
     when k >= 10**D, as str refuses more than D digits: D =
@@ -220,12 +210,13 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     packed operations on n-field ints, not O(n^3) small-int ones, one rank
     slice and one C-level map(add) of the line's heads a * k per line pair
     that gives covers, one sort of the codes (the arrows' order, as the
-    elements are sorted), and no vector pair or hashing of vectors.  Posets
-    above HASSE_LIMIT elements raise TooLargeError.
+    elements are sorted), and no vector pair or hashing of vectors.  There
+    is no size check here: a poset from tilting_poset has k * n <=
+    TILTING_LIMIT, so the k vertices and at most k * n arrows (one per line,
+    or zero, below each vertex) stay within that budget.
     """
     els = poset.elements
     k = len(els)
-    check_hasse_size(k)
     lengths, steps, ranks = poset.lengths, poset.steps, poset.ranks
     codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
     masks = list(_defects(steps, _packing(steps), 1, range(len(steps))))

@@ -38,13 +38,7 @@ from tiledorder import (
     tilting,
 )
 from tiledorder.orders import Vector, freeze_vector
-from tiledorder.tilting import (
-    Slot,
-    _check_n_graded,
-    _truncate,
-    _zero_labels,
-    check_hasse_size,
-)
+from tiledorder.tilting import Slot, _check_n_graded, _truncate, _zero_labels
 
 from cycle_oracles import IndexOutOfRangeError
 
@@ -96,11 +90,10 @@ def bitset_hasse_quiver(poset: TiltingPoset) -> Quiver:
     i -> j is a cover.  Clearing below[j] and repeating finds every cover of i
     and nothing else, a transitive reduction (Aho, Garey and Ullman, 1972).
     That is O(k * n + arrows) big-int operations on k-bit integers and k * k / 8
-    bytes of bitsets; posets above HASSE_LIMIT elements raise TooLargeError.
+    bytes of bitsets, with no size check: callers keep k small.
     """
     els = poset.elements
     k = len(els)
-    check_hasse_size(k)
     below = [-1] * k
     for column in zip(*els):
         mask = 0

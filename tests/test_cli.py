@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from tiledorder import Quiver, cli, cyclic_order, files, gorenstein, orders, tilting
 from tiledorder.cli import main
 
-from test_files import DOT_1111, oracle_quiver_dot
+from test_files import DOT_1111, DOT_SHA256, oracle_quiver_dot
 
 
 def run(capsys, *argv):
@@ -287,18 +288,22 @@ class TestQuiver:
         assert payload["witness"] == [2, 0]
 
     def test_too_large(self, tmp_path, capsys):
-        # weights (10001, 10001) give p = (-10000, -10000): k = 20001 elements
+        # weights (w, w) give p = (1 - w, 1 - w): k = 2w - 1 elements of
+        # length 2, within TILTING_LIMIT = 10**6 entries up to w = 250000
         path = tmp_path / "big.json"
         path.write_text('{"kind": "cyclic", "weights": [10001, 10001]}')
         code, out, err = run(capsys, "quiver", str(path))
+        assert (code, out, err) == (0, "vertices: 20001\narrows: 20000\n", "")
+        path.write_text('{"kind": "cyclic", "weights": [250001, 250001]}')
+        code, out, err = run(capsys, "quiver", str(path))
         assert code == 1
         assert out == ""
-        payload = stderr_json(err)
+        payload = only_stderr_json(err)
         assert payload["code"] == "TooLarge"
-        assert payload["witness"] == 20001
+        assert payload["witness"] == 1000002
 
     def test_too_large_rejected_before_enumerating(self, tmp_path, capsys):
-        # k = 1 - sum(p) = 2 * 10**8 - 1 summands: far too many to build
+        # k * n = 2 * (2 * 10**8 - 1) entries: far too many to build
         path = tmp_path / "huge.json"
         path.write_text('{"kind": "cyclic", "weights": [100000000, 100000000]}')
         start = time.perf_counter()
@@ -308,7 +313,59 @@ class TestQuiver:
         assert out == ""
         payload = only_stderr_json(err)
         assert payload["code"] == "TooLarge"
-        assert payload["witness"] == 199999999
+        assert payload["witness"] == 399999998
+
+
+def same_budget_files():
+    """(order file text, expected error code or None), seeded: relabelled
+    Morita shifts of weights (3c, 3c, 0) by (-3c, -3c, c), which have p <= 0,
+    k = 12c - 2 and m(1,2) = -c < 0, within TILTING_LIMIT (NotNGraded) and
+    over it (TooLarge); cyclic orders over it; orders with some p_i > 0,
+    small and with a huge k; and orders that pass."""
+    rng = random.Random(2604)
+    cases = []
+    for c in [rng.randint(1700, 27000) for _ in range(4)] + [rng.randint(28000, 10**9)]:
+        m, _ = cyclic_order((3 * c, 3 * c, 0))
+        rows = orders.morita_shift(m, (-3 * c, -3 * c, c)).rows
+        perm = rng.sample(range(3), 3)
+        rows = [[rows[i][j] for j in perm] for i in perm]
+        code = "NotNGraded" if 3 * (12 * c - 2) <= tilting.TILTING_LIMIT else "TooLarge"
+        cases.append((json.dumps({"kind": "matrix", "m": rows}), code))
+    for weights, code in [
+        ([250001, 250001], "TooLarge"),
+        ([rng.randint(10**5, 10**9)] * rng.randint(2, 6), "TooLarge"),
+        ([0, 0, 0, 1], "PositiveParameter"),
+        ([0, 0, rng.randint(10**6, 10**9)], "PositiveParameter"),
+        ([1, 1, 1, 1], None),
+        ([rng.randint(1, 9) for _ in range(5)], None),
+    ]:
+        cases.append((json.dumps({"kind": "cyclic", "weights": weights}), code))
+    return cases
+
+
+SAME_BUDGET = same_budget_files()
+
+
+@pytest.mark.parametrize(
+    "text, expected", SAME_BUDGET, ids=[f"{e or 'ok'}-{i}" for i, (_, e) in enumerate(SAME_BUDGET)]
+)
+def test_tilting_and_quiver_share_one_budget(tmp_path, capsys, text, expected):
+    """Both commands check PositiveParameter, then TooLarge (witness k * n),
+    then NotNGraded before building anything, so they fail alike."""
+    path = tmp_path / "in.json"
+    path.write_text(text)
+
+    def outcome(command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 2
+        assert not (out and err)  # a failure prints nothing on stdout
+        payload = only_stderr_json(err) if err else {}
+        return code, payload.get("code"), payload.get("witness")
+
+    first = outcome("tilting")
+    assert first == outcome("quiver")
+    assert first[:2] == ((1, expected) if expected else (0, None))
 
 
 @pytest.mark.parametrize("command", ["gorenstein", "tilting", "quiver"])
@@ -480,6 +537,65 @@ class TestUnwritableOutput:
         assert not out.parent.exists()
 
 
+class TestWrittenFiles:
+    """Every file goes through files.write_text: `quiver --dot` the lines of
+    files.dot_lines as they come, the other commands their text whole."""
+
+    @pytest.mark.parametrize("w", DOT_SHA256, ids=["two-long-lines", "unit-30"])
+    def test_dot_file_is_quiver_dot(self, tmp_path, capsys, w):
+        path, dot = tmp_path / "w.json", tmp_path / "h.dot"
+        path.write_text(json.dumps({"kind": "cyclic", "weights": w}))
+        code, _, _ = run(capsys, "quiver", str(path), "--dot", str(dot))
+        assert code == 0
+        q = tilting.hasse_quiver(tilting.tilting_poset(*cyclic_order(w)))
+        assert dot.read_bytes() == files.quiver_dot(q).encode()
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == DOT_SHA256[w]
+
+    # sha256 of each --emit file, as the whole-text writer wrote it
+    EMITTED = {
+        "normalize-cyclic": (
+            "normalize",
+            '{"kind": "cyclic", "weights": [3, 1, 0, 2, 0, 0]}',
+            "6f4b4cb96fff90e9f5300a1bcc3f4bb3790dda7ebdf6412a7b073c2105b9baed",
+        ),
+        "normalize-matrix": (
+            "normalize",
+            '{"kind": "matrix", "m": [[0, 2, -3, 0], [4, 0, 1, -2], [9, 5, 0, 3], '
+            "[6, 8, 3, 0]]}",
+            "e1e561a1856aa6ef65a111e5ed64a01f029634bd8f0f4d4077e4a54ddba7dc7a",
+        ),
+        "mdata-normalize": (
+            "mdata-normalize",
+            '{"m": [[0, 3, 2, 2, 0, 0], [3, 0, 5, 5, 3, 3], [4, 1, 0, 6, 4, 4], '
+            "[4, 1, 0, 0, 4, 4], [6, 3, 2, 2, 0, 6], [6, 3, 2, 2, 0, 0]], "
+            '"a": [2, 4, 5, 3, 5, 5], "nu": [1, 2, 3, 4, 5, 0]}',
+            "0ad03d24310b7caaa51e9a01e7b4c7b9697ee8aea7dbf240e235665b42e25549",
+        ),
+        "cyclic": (
+            "cyclic", None, "7c27b8b887a276e8c55e3c75a0f32ae9c7288c709fe658a96ad50a2f44867550"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", EMITTED)
+    def test_emitted_files_are_unchanged(self, tmp_path, capsys, name):
+        command, text, digest = self.EMITTED[name]
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        if text is None:
+            argv = [command, "--weights", "3,1,0,2,0,0"]
+        else:
+            path.write_text(text)
+            argv = [command, str(path)]
+        code, _, err = run(capsys, *argv, "--emit", str(out))
+        assert (code, err) == (0, "")
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if command == "mdata-normalize":
+            again = files.equivariant_file_text(files.read_equivariant_file(out))
+        else:
+            again = files.order_file_text(files.read_order_file(out))
+        assert data == again.encode()
+
+
 class TestInternalFailure:
     def test_stage_exception_exit_3(self, unit_cyclic_file, capsys, monkeypatch):
         def broken(weights):
@@ -580,8 +696,8 @@ def test_one_pattern_match_per_matrix_file(tmp_path, capsys, monkeypatch, comman
 # `python3 tests/cli_corpus.py SEED`: one sha256 over the bytes of every
 # command on the seeded corpus.  A change to CLI output updates them on purpose.
 CORPUS_DIGESTS = {
-    16: "f0fd7044183c844eb414b08e1b023a4004636c5834ec335af3d4a9049c2c4160",
-    1818: "8e3ae639df03e2d4fbab0ffa8cc15d6f5dc070a559122ae6b30e73b4cef064d5",
+    16: "00064f4996347424ab135f4139f9bbc9e26adcf54475e1309b821ffd6c719bdd",
+    1818: "4494d0be273ac28fe70ce238a96020657c19caf0c289e607e5e0634fac6b1883",
 }
 
 

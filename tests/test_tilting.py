@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 from tiledorder import (
     DimensionMismatchError,
     ExponentMatrix,
+    GorensteinData,
     NotCyclicError,
     NotNGradedError,
+    Permutation,
     PositiveParameterError,
     Quiver,
-    TiltingPoset,
     TooLargeError,
     cyclic_hasse_oracle,
     cyclic_order,
@@ -23,7 +24,6 @@ from tiledorder import (
     tilting_summands,
 )
 from tiledorder import orders, tilting
-from tiledorder.tilting import HASSE_LIMIT
 
 from equivariant_templates import two_orbit_order
 from cycle_oracles import IndexOutOfRangeError
@@ -315,21 +315,25 @@ class TestSummands:
             tilting_summands(M4, G4)
         assert ei.value.witness == 36
 
-    def test_unprintable_sizes_are_not_printed(self):
+    def test_unprintable_sizes_are_not_printed(self, monkeypatch):
         # a size with more digits than str converts (sys's limit, 4300 by
         # default) is named by that bound, with a null witness; one digit
-        # fewer is printed as before
+        # fewer is printed as before.  A one-point order with p = (1 - k,)
+        # has k summands of length 1, so k is also the witness k * n.
+        monkeypatch.setattr(tilting, "TILTING_LIMIT", 0)
+        m = ExponentMatrix.from_rows([[0]])
         digits = sys.get_int_max_str_digits()
         for k, shown in [
-            (HASSE_LIMIT + 1, str(HASSE_LIMIT + 1)),
+            (20_001, "20001"),
             (10**digits - 1, "9" * digits),
             (10**digits, None),
             (7 * 10 ** (digits + 9), None),
         ]:
             with pytest.raises(TooLargeError) as ei:
-                tilting.check_hasse_size(k)
+                tilting_summands(m, GorensteinData(nu=Permutation((0,)), p=(1 - k,)))
             assert ei.value.witness == (k if shown else None)
-            assert f"poset has {shown or f'10**{digits} or more'} elements" in str(ei.value)
+            assert tilting._decimal(k) == (shown or f"10**{digits} or more", ei.value.witness)
+            assert f"{shown or f'10**{digits} or more'} summands of length 1" in str(ei.value)
 
     def test_size_checked_after_parameters_before_grading(self, monkeypatch):
         monkeypatch.setattr(tilting, "TILTING_LIMIT", 0)
@@ -585,17 +589,13 @@ class TestHasse:
         for m, g in heavy:
             assert_covers_match(m, g)
 
-    def test_size_limit(self):
-        # one line of HASSE_LIMIT slots over one point, a chain down to zero
-        poset = TiltingPoset(
-            elements=tuple((x,) for x in range(HASSE_LIMIT + 1)),
-            lengths=(HASSE_LIMIT,),
-            steps=((0,),),
-            ranks=(tuple(range(HASSE_LIMIT, 0, -1)),),
-        )
-        with pytest.raises(TooLargeError) as ei:
-            hasse_quiver(poset)
-        assert ei.value.witness == HASSE_LIMIT + 1
+    def test_oracle_match_large_k(self):
+        # k = 199,999 elements over n = 2: k * n is 40% of TILTING_LIMIT,
+        # the one size budget hasse_quiver's input has
+        w = (100_000, 100_000)
+        m, g = cyclic_order(w)
+        assert grothendieck_rank(g) == 199_999
+        assert cyclic_hasse_oracle(w) == hasse_quiver(tilting_poset(m, g))
 
     def test_validating_constructor_accepts_every_result(self):
         # hasse_quiver skips Quiver's check, whose conditions its docstring
