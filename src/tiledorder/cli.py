@@ -72,10 +72,11 @@ def cmd_validate(args) -> int:
 
 def cmd_gorenstein(args) -> int:
     _, g = files.order_pair(files.read_order_file(args.order))
+    p_av = files.rational_str(sum(g.p), g.n)  # before printing: TooLarge prints nothing
     print(f"nu: {files.json_text(g.nu.images)}")
     print(f"ell: {files.json_text(g.ell)}")
     print(f"p: {files.json_text(g.p)}")
-    print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
+    print(f"p_av: {p_av}")
     return 0
 
 
@@ -85,6 +86,7 @@ def cmd_normalize(args) -> int:
     from .orders import morita_shift
 
     m, g = files.order_pair(files.read_order_file(args.order))
+    p_av = files.rational_str(sum(g.p), g.n)  # before any output, as in cmd_gorenstein
     # normalize_equivariant's postconditions on (m^T, -p, nu) conjugated by s
     # are this order's: the conjugated matrix is shifted^T (non-negative) and
     # the twist is -new_p (within 1 of -p_av).
@@ -97,7 +99,7 @@ def cmd_normalize(args) -> int:
         )
     print(f"s: {files.json_text(s)}")
     print(f"p': {files.json_text(new_p)}")
-    print(f"p_av: {files.rational_str(sum(g.p), g.n)}")
+    print(f"p_av: {p_av}")
     print("m':")
     for row in shifted.rows:
         print(f"  {files.json_text(row)}")

@@ -7,6 +7,18 @@ emit machine-readable error objects.
 
 from __future__ import annotations
 
+import sys
+
+
+def str_limit(k: int) -> int:
+    """D when str(k) refuses k's digits, |k| >= 10**D, else 0.
+
+    D = sys.get_int_max_str_digits(), with no limit when 0 or absent (int()
+    is 0).  Errors and output name a too-long int by this bound instead.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    return digits if digits and abs(k) >= 10**digits else 0
+
 
 class DomainError(Exception):
     """Input was rejected for a mathematical reason (CLI exit code 1)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii, make_scanner
 
-from .errors import InputFileError, TooLargeError
+from .errors import InputFileError, TooLargeError, str_limit
 from .orders import ExponentMatrix, Permutation, Record, _validated, lowest_terms
 
 # Largest n an order or equivariant-data file may have.  The slowest inputs
@@ -279,8 +279,17 @@ def quiver_dot(q: Quiver) -> str:
 
 
 def rational_str(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms r/g: "r/g", or just "r" when g = 1."""
+    """num/den (den > 0) in lowest terms r/g: "r/g", or just "r" when g = 1.
+
+    TooLargeError (witness null) when str refuses r's or g's digits
+    (``errors.str_limit``), as for ``tilting``'s sizes.
+    """
     r, g = lowest_terms(num, den)
+    digits = str_limit(max(abs(r), g))
+    if digits:
+        raise TooLargeError(
+            f"a fraction whose numerator or denominator is 10**{digits} or more"
+        )
     return str(r) if g == 1 else f"{r}/{g}"
 
 

@@ -10,6 +10,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import repeat
 
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
 Vector = tuple[int, ...]
 Rows = tuple[Vector, ...]
 Packing = tuple[int, int, int, list[int], list[int]]  # see _packing
+TABLE_PAIRS = 1024  # see _broadcasts
 
 
 class _RecordType(type):
@@ -131,12 +133,71 @@ def _packing(rows: Rows) -> Packing:
     return size, ones, top, _packed_rows(rows, size, top), cols
 
 
+def _broadcast(size: int, ones: int, n: int) -> Callable[[int], int]:
+    """x -> x * ONES for |x| < 2**(8 * size), ONES having 1 in n fields of size bytes.
+
+    Up to 8 bytes this is the product.  Wider, |x|'s size bytes are repeated
+    n times: linear in the length, where the product of a wide x by ONES is
+    not.
+    """
+    if size <= 8:
+        return ones.__mul__
+
+    def repeated(x: int) -> int:
+        y = int.from_bytes(abs(x).to_bytes(size, "little") * n, "little")
+        return -y if x < 0 else y
+
+    return repeated
+
+
+class _PerPair(dict):
+    """An empty table x -> spread(x): each read makes its entry afresh."""
+
+    def __init__(self, spread: Callable[[int], int]):
+        self.spread = spread
+
+    def __missing__(self, x: int) -> int:
+        return self.spread(x)
+
+
+def _broadcasts(rows: Rows, packing: Packing, scanned: Sequence[int]) -> dict | None:
+    """x -> x * ONES (``_broadcast``) for the values x of the scanned rows, or None.
+
+    A table of every value, when the scan covers TABLE_PAIRS (row, column)
+    pairs or more and its rows hold at most 2n values: as many ints as
+    ``_packing`` holds (the count stops at 2n + 1).  A smaller scan does not
+    repay the table's entries.  Otherwise None for fields of up to 8 bytes,
+    where ``_defects`` takes the product per pair, and for wider fields a
+    ``_PerPair`` table, whose reads repeat bytes.
+    """
+    size, n = packing[0], len(rows)
+    if len(scanned) * n >= TABLE_PAIRS:
+        values: set[int] = set()
+        for t in scanned:
+            values.update(rows[t])
+            if len(values) > 2 * n:
+                break
+        else:
+            return dict(zip(values, map(_broadcast(size, packing[1], n), values)))
+    return _PerPair(_broadcast(size, packing[1], n)) if size > 8 else None
+
+
 def _defects(rows: Rows, packing: Packing, c: int, scanned: Iterable[int]):
-    """Per t in scanned, per s: top bits of the fields u with X_u >= c (_packing)."""
+    """Per t in scanned, per s: packed[t] + cols[s] - top - (m(t,s) + c) * ONES.
+
+    Field u of sum s has its top bit set iff X_u >= c (_packing); the other
+    bits are not masked off.  x * ONES is read from ``_broadcasts``' table
+    when there is one (a dict lookup, no new int), else it is the product.
+    """
     _, ones, top, packed, cols = packing
+    scanned = list(scanned)
+    table = _broadcasts(rows, packing, scanned)
     for t in scanned:
         base = packed[t] - top - c * ones
-        yield [base + q - x * ones & top for q, x in zip(cols, rows[t])]
+        yield [
+            base + q - (x * ones if table is None else table[x])
+            for q, x in zip(cols, rows[t])
+        ]
 
 
 def first_triangle_violation(
@@ -149,19 +210,21 @@ def first_triangle_violation(
     Only rows i in ``scanned`` (any increasing iterable; all when None) are
     scanned: with a Nakayama permutation its orbits' least points suffice
     (see _validated).  Each row is read through ``_defects`` at c = 0 (on
-    ``_packing``, built here when None): field j of mask k is clear iff
-    m(i,j) + m(j,k) < m(i,k).  As the row's first violating j is the least
-    j_k, mask k's first clear field, the least (i, j_k, k) is the first.
+    ``_packing``, built here when None): field j of sum k has its top bit
+    clear iff m(i,j) + m(j,k) < m(i,k).  One AND of the row's sums tests the
+    row; only the first failing row is masked sum by sum.  As its first
+    violating j is the least j_k, the first clear field of sum k, the least
+    (i, j_k, k) is the first.
     """
     packing = _packing(rows) if packing is None else packing
     top, n = packing[2], len(rows)
     scanned = range(n) if scanned is None else list(scanned)
-    for i, masks in zip(scanned, _defects(rows, packing, 0, scanned)):
-        if masks.count(top) != n:
+    for i, sums in zip(scanned, _defects(rows, packing, 0, scanned)):
+        if reduce(operator.and_, sums) & top != top:
             row = rows[i]
             return min(
                 (i, next(j for j in range(n) if row[j] + rows[j][k] < row[k]), k)
-                for k, mask in enumerate(masks) if mask != top
+                for k, x in enumerate(sums) if x & top != top
             )
     return None
 
@@ -238,7 +301,9 @@ def _relaxer(
     Rows go in increasing order, so a pass adds at most n edges to a walk,
     and lo * n(n + 1) <= dist <= 0, lo = min(0, min m).  So |X_j| <=
     (n(n + 1) + 1) * span + 1 < half, span = max(0, max m) - lo.  X_i =
-    -m(i,i) - 1 < 0: the diagonal never relaxes.
+    -m(i,i) - 1 < 0: the diagonal never relaxes.  dist[i] * ONES comes
+    from ``_broadcast`` (|dist[i]| < half), by repeated bytes in fields
+    wider than 8 bytes.
     """
     n = len(rows)
     lo = min(0, *map(min, rows))
@@ -249,6 +314,7 @@ def _relaxer(
     top = half * ones
     gaps = [top - ones - _packed(row, -half, size) for row in rows]
     packed = _packed(dist, -half, size)
+    spread = _broadcast(size, ones, n)
 
     def relaxations() -> Iterator[tuple[int, int]]:
         nonlocal packed
@@ -257,7 +323,7 @@ def _relaxer(
                 continue
             stale[i] = False
             di = dist[i]
-            mask = packed + gap - di * ones & top
+            mask = packed + gap - spread(di) & top
             while mask:
                 j = (mask & -mask).bit_length() // w - 1
                 x = di + row[j]

@@ -10,10 +10,9 @@ check, k * n <= TILTING_LIMIT (see _lines).
 
 from __future__ import annotations
 
-import sys
 from operator import add
 
-from .errors import NotNGradedError, PositiveParameterError, TooLargeError
+from .errors import NotNGradedError, PositiveParameterError, TooLargeError, str_limit
 from .gorenstein import GorensteinData, cyclic_order
 from .orders import ExponentMatrix, Record, Vector, _defects, _packing, first_negative
 
@@ -176,10 +175,9 @@ class Quiver(Record):
 
 def _decimal(k: int) -> tuple[str, int | None]:
     """(str(k), k) for a size k > 0 in an error, or ("10**D or more", None)
-    when k >= 10**D, as str refuses more than D digits: D =
-    sys.get_int_max_str_digits(), no limit when 0 or absent (int() is 0)."""
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    if digits and k >= 10**digits:
+    when str refuses k's digits (``errors.str_limit``)."""
+    digits = str_limit(k)
+    if digits:
         return f"10**{digits} or more", None
     return str(k), k
 
@@ -201,7 +199,7 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     gives a cover of every (s, i) with i <= E_s(t) if nothing dominates t,
     else none.  For t != s, X_u = M(t, u) + M(u, s) - M(t, s) >= 0 (triangle
     inequality) is 0 at u = s, t, so nothing dominates t iff n - 2 top bits,
-    one per X_u >= 1, are set in the c = 1 mask (t, s) of orders._defects (on
+    one per X_u >= 1, are set in the c = 1 sum (t, s) of orders._defects (on
     M packed by orders._packing).  Quiver's check cannot fail, so it is
     skipped: line t gives (s, i) at most one target, slots on different lines
     hold different elements (see tilting_summands) and zero is none of them,
@@ -219,7 +217,9 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
     k = len(els)
     lengths, steps, ranks = poset.lengths, poset.steps, poset.ranks
     codes = []  # arrow a -> b of ranks as a * k + b, which sorts as the pair
-    masks = list(_defects(steps, _packing(steps), 1, range(len(steps))))
+    packing = _packing(steps)
+    top = packing[2]
+    sums = list(_defects(steps, packing, 1, range(len(steps))))
     for s, (size, here, col) in enumerate(zip(lengths, ranks, zip(*steps))):
         heads = [a * k for a in here]
         if 1 not in map(add, steps[s], col):  # nothing dominates s
@@ -227,7 +227,7 @@ def hasse_quiver(poset: TiltingPoset) -> Quiver:
         ends = [x - y for x, y in zip(lengths, col)]  # E_s(t)
         ends[s] = 0  # line s is done above
         for t, end in enumerate(ends):
-            if end > 0 and masks[t][s].bit_count() == len(col) - 2:
+            if end > 0 and (sums[t][s] & top).bit_count() == len(col) - 2:
                 codes += map(add, heads, ranks[t][col[t]:end + col[t]])  # end <= size
         if max(ends) < size:  # as E_s(s) = L_s - 1, only (s, L_s) can cover zero
             codes.append(heads[-1])

@@ -26,6 +26,14 @@ from tiledorder.files import OrderSource
 
 from helpers import identity, power_images
 import matrix_oracles
+from test_matrix_layer import (
+    fit_kind,
+    from_rows_outcome,
+    relabeled_shifted_cyclic,
+    relation_preserving,
+    scans,
+    shortest_path_closure,
+)
 from matrix_oracles import cyclic_rows
 
 CYCLIC_1111 = (
@@ -534,12 +542,12 @@ class TestDefects:
             packing = self.assert_columns_packed(steps)
             sizes.add(packing[0])
             got = list(orders._defects(steps, packing, 1, range(n)))
-            for t, masks in enumerate(got):
-                for s, mask in enumerate(masks):
+            for t, sums in enumerate(got):
+                for s, total in enumerate(sums):
                     beyond = sum(
                         steps[t][u] + steps[u][s] > steps[t][s] for u in range(n)
                     )
-                    assert mask.bit_count() == beyond
+                    assert (total & packing[2]).bit_count() == beyond
                     if t != s:
                         free.add(beyond == n - 2)
         assert {1, 2, 4, 8} < sizes and max(sizes) > 8
@@ -614,3 +622,177 @@ class TestDefects:
         assert orders.first_triangle_violation(rows) == witness
         assert orders.first_triangle_violation(rows, iter(range(4))) == witness
         assert orders.first_triangle_violation(rows, (1, 2, 3)) == (1, 2, 0)
+
+
+@pytest.fixture
+def broadcasts(monkeypatch):
+    """(spread calls, tables) of the scans run: each x that _broadcast's
+    function was called on, and what each _broadcasts call returned."""
+    calls, tables = [], []
+    real_spread, real_tables = orders._broadcast, orders._broadcasts
+
+    def counting(size, ones, n):
+        spread = real_spread(size, ones, n)
+
+        def counted(x):
+            calls.append(x)
+            return spread(x)
+
+        return counted
+
+    def recorded(rows, packing, scanned):
+        tables.append(real_tables(rows, packing, scanned))
+        return tables[-1]
+
+    monkeypatch.setattr(orders, "_broadcast", counting)
+    monkeypatch.setattr(orders, "_broadcasts", recorded)
+    return calls, tables
+
+
+def unit_closure(rng, n):
+    """A metric with entries 0, 1 and 2: arcs of 1 or 2 on the complete digraph."""
+    return [[0 if i == j else rng.randint(1, 2) for j in range(n)] for i in range(n)]
+
+
+def scan_cases(rng, scale):
+    """Rows at one scale: Morita shifts by 0 or -3 max (negative entries) of a
+    metric with three values (at most 9 distinct once shifted) and of a closure
+    with arcs up to 10**6 (about n**2 distinct), each as is, with an entry of
+    the last row raised and with one of the last column raised.  n**2 is at
+    least TABLE_PAIRS, so a full scan may build a table."""
+    for n in (32, 35):
+        for d in (unit_closure(rng, n), shortest_path_closure(rng, n, 0, 10**6)):
+            far = 3 * max(map(max, d))
+            shift = [rng.choice((0, -far)) for _ in range(n)]
+            base = [[(x + si - sj) * scale for x, sj in zip(row, shift)] for row, si in zip(d, shift)]
+            yield base
+            last_row = [row[:] for row in base]
+            last_row[n - 1][rng.randrange(n - 1)] += scale
+            yield last_row
+            last_col = [row[:] for row in base]
+            last_col[rng.randrange(n - 1)][n - 1] += scale
+            yield last_col
+
+
+class TestScanBroadcasts:
+    """first_triangle_violation against the triple loop, through every source
+    of x * ONES (the table, the product per pair, repeated bytes per pair), at
+    every field width; _broadcast against the product; _broadcasts' cap."""
+
+    SCALES = (1, 10, 10**3, 10**8, 10**17, 10**40, 10**4000)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8, 9, 16, 167])
+    def test_broadcast_is_the_product(self, size):
+        half = 1 << (8 * size - 1)
+        for n in (1, 3, 7):
+            ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+            spread = orders._broadcast(size, ones, n)
+            for x in (0, 1, -1, 2, -2, half - 1, 1 - half, half // 3, -half // 5):
+                assert spread(x) == x * ones
+
+    def test_full_scans_at_every_width(self, broadcasts):
+        calls, tables = broadcasts
+        rng = random.Random(2727)
+        sizes, sources, negative, witnesses = set(), set(), set(), set()
+        for scale in self.SCALES:
+            for rows in scan_cases(rng, scale):
+                rows = tuple(map(tuple, rows))
+                n = len(rows)
+                witness = matrix_oracles.first_triangle_violation(rows)
+                packing = orders._packing(rows)
+                size, ones = packing[0], packing[1]
+                calls.clear(), tables.clear()
+                assert orders.first_triangle_violation(rows, None, packing) == witness
+                (table,) = tables
+                values = set().union(*rows)  # the table is built before the scan
+                if len(values) <= 2 * n:
+                    assert type(table) is dict and table.keys() == values
+                    assert all(y == x * ones for x, y in table.items())
+                    assert sorted(calls) == sorted(values)  # each entry made once
+                    sources.add("table")
+                elif size <= 8:
+                    assert (table, calls) == (None, [])  # the inline product
+                    sources.add("product")
+                else:
+                    assert isinstance(table, orders._PerPair) and len(table) == 0
+                    read = n if witness is None else witness[0] + 1
+                    assert len(calls) == read * n  # repeated bytes, per pair
+                    sources.add("per pair")
+                sizes.add(size)
+                negative.add(min(map(min, rows)) < 0)
+                if witness is not None:
+                    witnesses.add((witness[0] == n - 1, witness[2] == n - 1))
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert sources == {"table", "product", "per pair"}
+        assert negative == {True}
+        assert {(True, False), (False, True)} <= witnesses
+
+    @pytest.mark.parametrize("scale", [1, 10**40])
+    def test_table_holds_at_most_2n_values(self, scale):
+        # 2n values (0 and 2n - 1 others) give a table of 2n entries; one
+        # value more gives none, or an empty per-pair one for wide fields
+        n = 32
+        for extra, want in ((0, 2 * n), (1, 0)):
+            others = [scale * (1 + k % (2 * n - 1 + extra)) for k in range(n * n)]
+            rows = tuple(
+                tuple(0 if i == j else others[i * n + j] for j in range(n))
+                for i in range(n)
+            )
+            assert len(set().union(*rows)) == 2 * n + extra
+            table = orders._broadcasts(rows, orders._packing(rows), range(n))
+            assert len(table or ()) == want
+            if extra:
+                assert table is None if scale == 1 else type(table) is orders._PerPair
+
+    def test_all_distinct_scan_builds_no_table(self, broadcasts):
+        calls, tables = broadcasts
+        n = 40
+        for scale in (1, 10**40):
+            rows = tuple(
+                tuple(0 if i == j else scale * (10**9 + n * i + j) for j in range(n))
+                for i in range(n)
+            )
+            calls.clear(), tables.clear()
+            assert orders.first_triangle_violation(rows) is None
+            (table,) = tables
+            assert len(table or ()) == 0  # nothing kept: at most 2n, here none
+            assert len(calls) == (0 if scale == 1 else n * n)
+
+    def test_small_scans_make_no_table(self, broadcasts):
+        calls, tables = broadcasts
+        rows = tuple(map(tuple, unit_closure(random.Random(2728), 12)))
+        assert len(rows) ** 2 < orders.TABLE_PAIRS
+        for scanned in ([5], None):
+            calls.clear(), tables.clear()
+            assert orders.first_triangle_violation(rows, scanned) is None
+            assert (tables, calls) == ([None], [])
+        wide = tuple(tuple(x * 10**40 for x in row) for row in rows)
+        calls.clear(), tables.clear()
+        assert orders.first_triangle_violation(wide, [5]) is None
+        (table,) = tables
+        assert type(table) is orders._PerPair and len(table) == 0
+        assert sorted(calls) == sorted(wide[5])  # repeated bytes, per pair
+
+    def test_one_base_row_scans_through_from_rows(self, scans):
+        # shuffled, shifted cyclic orders (one Nakayama orbit, so from_rows
+        # reads row 0 alone) at every width, and perturbations that keep nu
+        # fitting but may break the triangle inequality
+        rng = random.Random(2729)
+        sizes, outcomes = set(), set()
+        for scale in self.SCALES:
+            for _ in range(6):
+                m = relabeled_shifted_cyclic(rng, rng.randint(8, 14))
+                images = detect_gorenstein(m).nu.images
+                for rows in (m.rows, relation_preserving(rng, m.rows, images, 1)):
+                    if rows is None:
+                        continue
+                    rows = tuple(tuple(x * scale for x in row) for row in rows)
+                    scans.clear()
+                    got = from_rows_outcome(rows)
+                    assert got == from_rows_outcome(rows, matrix_oracles.from_rows)
+                    if fit_kind(rows) == "nu":
+                        assert scans == [[0]]
+                        outcomes.add(got == rows)
+                    sizes.add(orders._packing(rows)[0])
+        assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+        assert outcomes == {True, False}
