@@ -22,12 +22,6 @@ from .orders import ExponentMatrix, Permutation, Record, Rows, Vector
 from .orders import _relaxer, check_shift, conjugate_rows, freeze_rows, lowest_terms
 
 
-# _bellman_ford packs the rows (orders._relaxer) before pass SCALAR_PASSES
-# of a matrix of n >= PACKED_FROM: packing costs several scalar passes, and
-# a packed pass saves little below n = 32 (measured on CPython 3.11).
-SCALAR_PASSES, PACKED_FROM = 8, 32
-
-
 def _square(matrix: Sequence[Sequence[int]]) -> Rows:
     rows = freeze_rows(matrix)
     n = len(rows)
@@ -54,12 +48,13 @@ def _bellman_ford(rows: Rows) -> tuple[list[int], tuple[int, ...] | None]:
     dist(x) <= m(P) held before that relaxation.  So n steps back from x lie
     on a cycle of pred.
 
-    A row whose dist has not dropped since it was last scanned relaxes
-    nothing, as dist(j) <= dist(i) + m(i,j) after that scan and dist only
-    decreases; only the other, stale rows are scanned.  Without a negative
-    entry nothing relaxes at all.  The passes from SCALAR_PASSES on, for n
-    >= PACKED_FROM, test a row with one masked sum (``orders._relaxer``).
-    Each shortcut keeps every relaxation, in the same order.
+    Two closed forms come first: without a negative entry nothing relaxes
+    at all, and a negative diagonal entry is its own cycle.  Then every pass
+    runs through ``orders._relaxer``.  It scans only the rows whose dist has
+    dropped since they were last scanned: any other row relaxes nothing, as
+    dist(j) <= dist(i) + m(i,j) after that scan and dist only decreases.  It
+    tests each scanned row with one masked sum, and keeps every relaxation
+    of the entry-by-entry loop, in the same order.
     """
     n = len(rows)
     if min(map(min, rows)) >= 0:  # dist = 0 relaxes nothing
@@ -67,25 +62,12 @@ def _bellman_ford(rows: Rows) -> tuple[list[int], tuple[int, ...] | None]:
     for i in range(n):
         if rows[i][i] < 0:
             return [], (i,)
-    dist, pred, stale, relaxations = [0] * n, [-1] * n, [True] * n, None
-    for p in range(n + 1):
-        if p == SCALAR_PASSES and n >= PACKED_FROM:
-            relaxations = _relaxer(rows, dist, stale)
+    dist, relaxations = _relaxer(rows)
+    pred = [-1] * n
+    for _ in range(n + 1):
         last = -1
-        if relaxations is None:
-            for i, row in enumerate(rows):
-                if stale[i]:
-                    stale[i] = False
-                    di = dist[i]
-                    for j, x in enumerate(row):
-                        if di + x < dist[j]:
-                            dist[j] = di + x
-                            pred[j] = i
-                            stale[j] = True
-                            last = j
-        else:
-            for i, last in relaxations():
-                pred[last] = i
+        for i, last in relaxations():
+            pred[last] = i
         if last < 0:
             return dist, None
     for _ in range(n):

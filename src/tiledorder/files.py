@@ -31,11 +31,13 @@ from _json import encode_basestring_ascii, make_scanner
 from .errors import InputFileError, TooLargeError, str_limit
 from .orders import ExponentMatrix, Permutation, Record, _validated, lowest_terms
 
-# Largest n an order or equivariant-data file may have.  The slowest inputs
-# of that size known run one Bellman-Ford of about n passes through
-# `tiledorder mdata-normalize`: a descending chain (m(i+1,i) = -1, other
-# entries n) takes about 0.24 s at this size, 0.33 s at n = 300 and 0.59 s
-# at n = 400, and a long negative cycle about 0.35 s (whole process, best
+# Largest n an order or equivariant-data file may have.  The slowest input
+# of that size known is dense equivariant data: identity nu, zero twist and
+# entries uniform in [-1, 6].  `tiledorder mdata-normalize` runs all n + 1
+# Bellman-Ford passes on it twice (singleton orbits make the block minima m
+# itself, and the witness is searched in m) and exits 1 NegativeCycle after
+# about 5.3 s.  A descending chain (m(i+1,i) = -1, other entries n) takes
+# about 0.19 s and a long negative cycle about 0.17 s (whole process, best
 # of 3, Python 3.11, one CPU of a shared 2-vCPU Linux host).
 FILE_LIMIT = 256
 

@@ -201,22 +201,19 @@ def _defects(rows: Rows, packing: Packing, c: int, scanned: Iterable[int]):
 
 
 def first_triangle_violation(
-    rows: Rows,
-    scanned: Iterable[int] | None = None,
-    packing: Packing | None = None,
+    rows: Rows, scanned: Iterable[int] | None, packing: Packing
 ) -> tuple[int, int, int] | None:
     """First (i, j, k) with m(i,j) + m(j,k) < m(i,k), scanning lexicographically.
 
     Only rows i in ``scanned`` (any increasing iterable; all when None) are
     scanned: with a Nakayama permutation its orbits' least points suffice
-    (see _validated).  Each row is read through ``_defects`` at c = 0 (on
-    ``_packing``, built here when None): field j of sum k has its top bit
-    clear iff m(i,j) + m(j,k) < m(i,k).  One AND of the row's sums tests the
-    row; only the first failing row is masked sum by sum.  As its first
-    violating j is the least j_k, the first clear field of sum k, the least
-    (i, j_k, k) is the first.
+    (see _validated).  Each row is read through ``_defects`` at c = 0 on the
+    rows' ``_packing``: field j of sum k has its top bit clear iff m(i,j) +
+    m(j,k) < m(i,k).  One AND of the row's sums tests the row; only the
+    first failing row is masked sum by sum.  As its first violating j is the
+    least j_k, the first clear field of sum k, the least (i, j_k, k) is the
+    first.
     """
-    packing = _packing(rows) if packing is None else packing
     top, n = packing[2], len(rows)
     scanned = range(n) if scanned is None else list(scanned)
     for i, sums in zip(scanned, _defects(rows, packing, 0, scanned)):
@@ -269,25 +266,24 @@ def _nakayama_fits(rows: Rows, packing: Packing) -> Iterator[list[int]]:
         yield fitting.get(base + m0i * ones - q, [])
 
 
-def _is_basic(rows: Rows, packing: Packing | None = None) -> bool:
+def _is_basic(rows: Rows, packing: Packing) -> bool:
     """m(i,j) + m(j,i) > 0 for all i != j, on zero-diagonal rows.
 
-    ``_defects``' c = 1 sum at s = t, packed[t] + cols[t] - top - ONES (on
-    ``_packing``, built here when None), has its top bit set in field u iff
-    m(t,u) + m(u,t) >= 1, so in all n fields but u = t iff row t is basic.
+    ``_defects``' c = 1 sum at s = t, packed[t] + cols[t] - top - ONES on the
+    rows' ``_packing``, has its top bit set in field u iff m(t,u) + m(u,t) >=
+    1, so in all n fields but u = t iff row t is basic.
     """
-    _, ones, top, packed, cols = _packing(rows) if packing is None else packing
+    _, ones, top, packed, cols = packing
     base, others = top + ones, len(rows) - 1
     return all((p + q - base & top).bit_count() == others for p, q in zip(packed, cols))
 
 
-def _relaxer(
-    rows: Rows, dist: list[int], stale: list[bool]
-) -> Callable[[], Iterator[tuple[int, int]]]:
-    """Bellman-Ford passes over square rows with m(i,i) >= 0, one per call.
+def _relaxer(rows: Rows) -> tuple[list[int], Callable[[], Iterator[tuple[int, int]]]]:
+    """(dist, relaxations): Bellman-Ford on square rows with m(i,i) >= 0, from 0.
 
-    A pass takes each i with stale[i] in increasing order, clears it, lowers
-    every dist[j] > dist[i] + m(i,j) to that value, sets stale[j] and yields
+    Each call of relaxations runs one pass.  It takes each stale i in increasing
+    order (every i is stale before the first pass), clears it, lowers every
+    dist[j] > dist[i] + m(i,j) to that value, makes j stale and yields
     (i, j), in increasing j: the relaxations of a scalar loop over i and j.
 
     One masked sum tests row i: field j (w = 8 * size bits, half =
@@ -295,15 +291,14 @@ def _relaxer(
     (half - 1) * ONES - ``_packed``(row i, -half) holds -1 - m(i,j), so field
     j of packed + gaps[i] - dist[i] * ONES is X_j + half, X_j = dist[j] -
     m(i,j) - dist[i] - 1, whose top bit is set iff j relaxes, as long as
-    |X_j| < half: then no field borrows.  This holds for n + 1 passes in
-    all, those before the call included.  dist starts at 0, only decreases,
-    and dist[j] set through i is the weight of dist[i]'s walk plus one edge.
-    Rows go in increasing order, so a pass adds at most n edges to a walk,
-    and lo * n(n + 1) <= dist <= 0, lo = min(0, min m).  So |X_j| <=
-    (n(n + 1) + 1) * span + 1 < half, span = max(0, max m) - lo.  X_i =
-    -m(i,i) - 1 < 0: the diagonal never relaxes.  dist[i] * ONES comes
-    from ``_broadcast`` (|dist[i]| < half), by repeated bytes in fields
-    wider than 8 bytes.
+    |X_j| < half: then no field borrows.  This holds for n + 1 passes.  dist
+    starts at 0, only decreases, and dist[j] set through i is the weight of
+    dist[i]'s walk plus one edge.  Rows go in increasing order, so a pass
+    adds at most n edges to a walk, and lo * n(n + 1) <= dist <= 0, lo =
+    min(0, min m).  So |X_j| <= (n(n + 1) + 1) * span + 1 < half, span =
+    max(0, max m) - lo.  X_i = -m(i,i) - 1 < 0: the diagonal never relaxes.
+    dist[i] * ONES comes from ``_broadcast`` (|dist[i]| < half), by repeated
+    bytes in fields wider than 8 bytes.
     """
     n = len(rows)
     lo = min(0, *map(min, rows))
@@ -313,8 +308,8 @@ def _relaxer(
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
     top = half * ones
     gaps = [top - ones - _packed(row, -half, size) for row in rows]
-    packed = _packed(dist, -half, size)
     spread = _broadcast(size, ones, n)
+    dist, stale, packed = [0] * n, [True] * n, top
 
     def relaxations() -> Iterator[tuple[int, int]]:
         nonlocal packed
@@ -332,7 +327,7 @@ def _relaxer(
                 yield i, j
                 mask &= mask - 1
 
-    return relaxations
+    return dist, relaxations
 
 
 def first_negative(rows: Rows) -> tuple[int, int] | None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tiledorder import conjugation
+from tiledorder import conjugation, orders
 from tiledorder import (
     EquivarianceViolationError,
     NegativeCycleError,
@@ -177,23 +177,83 @@ class TestFindNegativeCycle:
             assert find_negative_cycle(rows) == tuple(cycle[start:] + cycle[:start])
 
 
-# (SCALAR_PASSES, PACKED_FROM) of conjugation: the package's choice, scalar
-# passes only, packed passes only, and a switch to packed ones after two
-# scalar passes, which packs a dist that is no longer zero
-KERNELS = {
-    "default": (conjugation.SCALAR_PASSES, conjugation.PACKED_FROM),
-    "scalar": (10**9, 10**9),
-    "packed": (0, 1),
-    "switch": (2, 1),
-}
+def scalar_pass(rows, dist):
+    """One entry-by-entry pass over every row, as in scalar_bellman_ford:
+    its relaxations (i, j) in order; dist is lowered in place."""
+    relaxed = []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if i != j and dist[i] + x < dist[j]:
+                dist[j] = dist[i] + x
+                relaxed.append((i, j))
+    return relaxed
 
 
-@pytest.fixture(params=list(KERNELS))
-def kernel(request, monkeypatch):
-    passes, size = KERNELS[request.param]
-    monkeypatch.setattr(conjugation, "SCALAR_PASSES", passes)
-    monkeypatch.setattr(conjugation, "PACKED_FROM", size)
-    return request.param
+def check_passes(rows):
+    """Each pass of orders._relaxer against scalar_pass, relaxation for
+    relaxation, with equal dist after it; returns the dists after each pass."""
+    dist, relaxations = orders._relaxer(rows)
+    expected = [0] * len(rows)
+    seen = []
+    for _ in range(len(rows) + 1):
+        assert list(relaxations()) == scalar_pass(rows, expected), rows
+        assert dist == expected, rows
+        seen.append(list(dist))
+    return seen
+
+
+def check_bound(rows, dists):
+    """lo * n(n + 1) <= dist <= 0 after every pass, lo = min(0, min m): the
+    bound that _relaxer's packed fields are sized for."""
+    n, lo = len(rows), min(0, *map(min, rows))
+    for dist in dists:
+        assert lo * n * (n + 1) <= min(dist) and max(dist) <= 0, rows
+
+
+def check_certificate(rows, dist, cycle):
+    """(dist, cycle) against the definitions: conjugated by dist the rows are
+    non-negative off the diagonal and take the closed form, or the cycle is
+    simple, smallest index first, with negative sum."""
+    n = len(rows)
+    if cycle is None:
+        conjugated = tuple(
+            tuple(0 if i == j else x + dist[i] - dist[j] for j, x in enumerate(row))
+            for i, row in enumerate(rows)
+        )
+        assert min(map(min, conjugated)) >= 0, rows
+        assert conjugation._bellman_ford(conjugated) == ([0] * n, None)
+    else:
+        assert len(set(cycle)) == len(cycle) and cycle[0] == min(cycle), rows
+        assert cycle_sum(rows, cycle) < 0, rows
+
+
+# The ids name the pass kernels these tests once chose between.  One kernel
+# is left, and each id now reads it another way, after comparing
+# _bellman_ford with scalar_bellman_ford: "default" does no more; "scalar"
+# compares each pass of _relaxer with an entry-by-entry pass; "packed" also
+# checks the dist bound behind the packed field width after each pass; and
+# "switch" checks the result against the definitions, not the oracle.
+KERNELS = ("default", "scalar", "packed", "switch")
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request):
+    """rows -> _bellman_ford(rows), checked as the id says."""
+
+    def check(rows):
+        got = conjugation._bellman_ford(rows)
+        assert got == scalar_bellman_ford(rows), rows
+        if request.param == "switch":
+            check_certificate(rows, *got)
+        elif request.param != "default" and min(map(min, rows)) < 0 <= min(
+            rows[i][i] for i in range(len(rows))
+        ):  # _relaxer runs on these rows
+            dists = check_passes(rows)
+            if request.param == "packed":
+                check_bound(rows, dists)
+        return got
+
+    return check
 
 
 def circulant_cycle(rng, n):
@@ -235,8 +295,8 @@ def bound_cycle(n, a, b):
 
 class TestPackedBellmanFord:
     """conjugation._bellman_ford, which skips rows whose dist did not drop
-    and packs the later passes of large matrices, against the scalar loop
-    it replaced: equal (dist, cycle) under every choice of kernel."""
+    and tests each row with one masked sum (orders._relaxer), against the
+    scalar loop it replaced: equal (dist, cycle)."""
 
     def assert_oracle(self, rows):
         got = conjugation._bellman_ford(rows)
@@ -255,7 +315,7 @@ class TestPackedBellmanFord:
                 if rng.random() < 0.2:  # a planted negative diagonal
                     i = rng.randrange(n)
                     rows[i][i] = -rng.randint(1, 3) * scale
-                dist, cycle = self.assert_oracle(tuple(map(tuple, rows)))
+                dist, cycle = kernel(tuple(map(tuple, rows)))
                 outcomes.add(None if cycle is None else min(len(cycle), 2))
         assert outcomes == {None, 1, 2}
 
@@ -267,37 +327,36 @@ class TestPackedBellmanFord:
         rng = random.Random(2502)
         for n in (1, 2, 5, 40):
             zero = ((0,) * n,) * n
-            assert self.assert_oracle(zero) == ([0] * n, None)
+            assert kernel(zero) == ([0] * n, None)
             rows = tuple(
                 tuple(rng.randint(0, 9) * 10**k for _ in range(n)) for k in range(n)
             )
-            assert self.assert_oracle(rows) == ([0] * n, None)
+            assert kernel(rows) == ([0] * n, None)
 
     def test_long_negative_cycles(self, kernel):
         rng = random.Random(2503)
         for n in (2, 3, 5, 12, 16, 24, 31, 32, 33, 40, 60):
             rows, cycle = circulant_cycle(rng, n)
-            assert self.assert_oracle(rows) == ([], cycle)
+            assert kernel(rows) == ([], cycle)
 
     def test_descending_chains(self, kernel):
         for n in (1, 2, 3, 8, 31, 32, 40):
             for v in (n - 3, n - 2, n - 1, n, n + 1):
                 if v >= 0:
-                    dist, cycle = self.assert_oracle(descending_chain(n, v))
+                    dist, cycle = kernel(descending_chain(n, v))
                     assert (cycle is not None) == (v < n - 1)
 
     def test_descending_chain_at_the_file_limit(self):
-        # the slowest known input of FILE_LIMIT = 256 rows (files.py)
+        # about n passes at FILE_LIMIT = 256 rows; the slowest known input of
+        # that size, dense with a negative cycle, is named in files.py
         dist, cycle = self.assert_oracle(descending_chain(256, 256))
         assert cycle is None and min(dist) == -255
 
-    def test_spans_at_field_width_edges(self, monkeypatch):
+    def test_spans_at_field_width_edges(self):
         # span at each edge of the width rule: the largest span whose bound
         # (n(n + 1) + 1) * span + 1 fits below half = 2**(8 * size - 1),
         # and one more, which needs the next size; on cycles whose dist
         # falls to -(span - b) * n(n + 1), and on random rows of that span.
-        # Besides the kernels above, the packing may come just before the
-        # last pass, when dist is lowest (its fields must hold dist + half).
         rng = random.Random(2504)
         for n in (2, 3, 5, 9):
             steps = n * (n + 1) + 1
@@ -309,11 +368,8 @@ class TestPackedBellmanFord:
                     for i in range(n):
                         rows[i][i] = 0
                     cases.append(tuple(map(tuple, rows)))
-                    for passes, least in [*KERNELS.values(), (n, 1)]:
-                        monkeypatch.setattr(conjugation, "SCALAR_PASSES", passes)
-                        monkeypatch.setattr(conjugation, "PACKED_FROM", least)
-                        for rows in cases:
-                            self.assert_oracle(rows)
+                    for rows in cases:
+                        self.assert_oracle(rows)
 
     def test_nonneg_conjugate_does_not_call_the_package_loop(self, monkeypatch):
         def fail(rows):

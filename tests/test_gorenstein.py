@@ -114,7 +114,7 @@ class TestDetect:
             detect_gorenstein(m)
         except (AmbiguousNakayamaError, NotGorensteinError):
             return
-        assert orders._is_basic(m.rows)
+        assert orders._is_basic(m.rows, orders._packing(m.rows))
 
     @given(relabeled_shifted_cyclic())
     def test_defining_relation_consequences(self, m):

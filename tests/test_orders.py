@@ -127,7 +127,7 @@ class TestExponentMatrix:
         assert m.n == 4
         assert m.entry(1, 3) == 2
         assert m.row(2) == (2, 3, 0, 1)
-        assert orders._is_basic(m.rows)
+        assert orders._is_basic(m.rows, orders._packing(m.rows))
         assert orders.first_negative(m.rows) is None
 
     def test_transpose(self):
@@ -170,7 +170,7 @@ class TestExponentMatrix:
     def test_not_n_graded_is_still_constructible(self):
         m = ExponentMatrix.from_rows([[0, -1], [2, 0]])
         assert orders.first_negative(m.rows) is not None
-        assert orders._is_basic(m.rows)
+        assert orders._is_basic(m.rows, orders._packing(m.rows))
 
 
 class TestPermutation:
@@ -378,7 +378,8 @@ class TestMoritaShift:
         # must accept what it builds, and basicness must not move
         shifted = morita_shift(m, tuple(raw[: m.n]))
         assert ExponentMatrix.from_rows(shifted.rows) == shifted
-        assert orders._is_basic(shifted.rows) == orders._is_basic(m.rows)
+        basic = orders._is_basic(m.rows, orders._packing(m.rows))
+        assert orders._is_basic(shifted.rows, orders._packing(shifted.rows)) == basic
 
     @given(shifted_cyclic(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
     def test_involution(self, m, raw):
@@ -448,7 +449,7 @@ class TestKernelsAgainstDefinitions:
             expected = all(
                 rows[i][j] + rows[j][i] > 0 for i in range(n) for j in range(i + 1, n)
             )
-            assert orders._is_basic(rows) == expected
+            assert orders._is_basic(rows, orders._packing(rows)) == expected
             outcomes.add((n == 1, expected))
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -575,7 +576,7 @@ class TestDefects:
                     assert [mask_fields(packing, m) for m in got] == expected
                 violation = matrix_oracles.first_triangle_violation(rows)
                 signs.add(violation is None)
-                assert orders.first_triangle_violation(rows) == violation
+                assert orders.first_triangle_violation(rows, None, packing) == violation
         assert {1, 2, 4, 8} < sizes and max(sizes) > 8
         assert signs == {True, False}
 
@@ -600,7 +601,6 @@ class TestDefects:
                 expected = matrix_oracles.is_basic(rows)
                 outcomes.add((n == 1, expected))
                 assert orders._is_basic(rows, packing) == expected
-                assert orders._is_basic(rows) == expected
         assert {1, 2, 4, 8} < sizes and max(sizes) > 8
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -619,9 +619,10 @@ class TestDefects:
         rows = ((0, 5, 5, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 0))
         witness = matrix_oracles.first_triangle_violation(rows)
         assert witness == (0, 1, 2)
-        assert orders.first_triangle_violation(rows) == witness
-        assert orders.first_triangle_violation(rows, iter(range(4))) == witness
-        assert orders.first_triangle_violation(rows, (1, 2, 3)) == (1, 2, 0)
+        packing = orders._packing(rows)
+        assert orders.first_triangle_violation(rows, None, packing) == witness
+        assert orders.first_triangle_violation(rows, iter(range(4)), packing) == witness
+        assert orders.first_triangle_violation(rows, (1, 2, 3), packing) == (1, 2, 0)
 
 
 @pytest.fixture
@@ -753,7 +754,8 @@ class TestScanBroadcasts:
                 for i in range(n)
             )
             calls.clear(), tables.clear()
-            assert orders.first_triangle_violation(rows) is None
+            packing = orders._packing(rows)
+            assert orders.first_triangle_violation(rows, None, packing) is None
             (table,) = tables
             assert len(table or ()) == 0  # nothing kept: at most 2n, here none
             assert len(calls) == (0 if scale == 1 else n * n)
@@ -762,13 +764,15 @@ class TestScanBroadcasts:
         calls, tables = broadcasts
         rows = tuple(map(tuple, unit_closure(random.Random(2728), 12)))
         assert len(rows) ** 2 < orders.TABLE_PAIRS
+        packing = orders._packing(rows)
         for scanned in ([5], None):
             calls.clear(), tables.clear()
-            assert orders.first_triangle_violation(rows, scanned) is None
+            assert orders.first_triangle_violation(rows, scanned, packing) is None
             assert (tables, calls) == ([None], [])
         wide = tuple(tuple(x * 10**40 for x in row) for row in rows)
         calls.clear(), tables.clear()
-        assert orders.first_triangle_violation(wide, [5]) is None
+        packing = orders._packing(wide)
+        assert orders.first_triangle_violation(wide, [5], packing) is None
         (table,) = tables
         assert type(table) is orders._PerPair and len(table) == 0
         assert sorted(calls) == sorted(wide[5])  # repeated bytes, per pair
